@@ -1,10 +1,9 @@
 // Serving-path benchmark: packed-weight SIMD GEMM + fused epilogues +
-// zero-allocation session (core/inference_session.hpp) against the
-// layer-API path, on the 442-feature Gen5GC telemetry shapes.
+// zero-allocation session (core/inference_session.hpp) on the 442-feature
+// Gen5GC telemetry shapes.
 //
 // Reports single-sample HDR latency quantiles (p50/p90/p99/p999) and
-// micro-batched samples/sec for both paths, prints the speedups, and
-// writes one JSON line of results to
+// micro-batched samples/sec, and writes one JSON line of results to
 // BENCH_inference.json under the bench output directory (CI uploads it as
 // an artifact so the perf trajectory is tracked across changes).
 //
@@ -66,28 +65,13 @@ int main() {
   const bench::ServingBenchResult r = bench::run_serving_bench(
       pipeline, split.target_test.x, single_iters, batch_rows, batch_reps);
 
-  std::printf("\n%-10s %10s %10s %10s %10s %14s\n", "path", "p50 (ms)",
-              "p90 (ms)", "p99 (ms)", "p999 (ms)", "samples/sec");
-  std::printf("%-10s %10.4f %10.4f %10.4f %10.4f %14.0f\n", "packed",
-              r.packed.single.p50_ms, r.packed.single.p90_ms,
-              r.packed.single.p99_ms, r.packed.single.p999_ms,
-              r.packed.samples_per_sec);
-  std::printf("%-10s %10.4f %10.4f %10.4f %10.4f %14.0f\n", "baseline",
-              r.baseline.single.p50_ms, r.baseline.single.p90_ms,
-              r.baseline.single.p99_ms, r.baseline.single.p999_ms,
-              r.baseline.samples_per_sec);
-  const double p50_speedup =
-      r.packed.single.p50_ms > 0.0
-          ? r.baseline.single.p50_ms / r.packed.single.p50_ms
-          : 0.0;
-  const double throughput_speedup =
-      r.baseline.samples_per_sec > 0.0
-          ? r.packed.samples_per_sec / r.baseline.samples_per_sec
-          : 0.0;
-  std::printf("speedup: %.2fx p50 latency, %.2fx batched throughput "
-              "(%zu iters, %zu x %zu-row batches)\n",
-              p50_speedup, throughput_speedup, r.single_iters, r.batch_reps,
-              r.batch_rows);
+  std::printf("\n%10s %10s %10s %10s %14s\n", "p50 (ms)", "p90 (ms)",
+              "p99 (ms)", "p999 (ms)", "samples/sec");
+  std::printf("%10.4f %10.4f %10.4f %10.4f %14.0f (%zu iters, %zu x "
+              "%zu-row batches)\n",
+              r.single.p50_ms, r.single.p90_ms, r.single.p99_ms,
+              r.single.p999_ms, r.samples_per_sec, r.single_iters,
+              r.batch_reps, r.batch_rows);
 
   const std::string path = bench::out_path("BENCH_inference.json");
   std::ofstream out(path);
@@ -99,19 +83,13 @@ int main() {
         "\"classes\":%zu,\"monte_carlo_m\":3,\"avx2\":%s,"
         "\"single_iters\":%zu,\"batch_rows\":%zu,\"batch_reps\":%zu,"
         "\"packed\":{\"p50_ms\":%.6f,\"p90_ms\":%.6f,\"p99_ms\":%.6f,"
-        "\"p999_ms\":%.6f,\"samples_per_sec\":%.1f},"
-        "\"baseline\":{\"p50_ms\":%.6f,\"p90_ms\":%.6f,\"p99_ms\":%.6f,"
-        "\"p999_ms\":%.6f,\"samples_per_sec\":%.1f},"
-        "\"speedup\":{\"p50\":%.3f,\"throughput\":%.3f}}\n",
+        "\"p999_ms\":%.6f,\"samples_per_sec\":%.1f}}\n",
         smoke ? "true" : "false", split.source_train.num_features(),
         split.source_train.num_classes, la::gemm_avx2_available() ? "true"
                                                                   : "false",
-        r.single_iters, r.batch_rows, r.batch_reps, r.packed.single.p50_ms,
-        r.packed.single.p90_ms, r.packed.single.p99_ms,
-        r.packed.single.p999_ms, r.packed.samples_per_sec,
-        r.baseline.single.p50_ms, r.baseline.single.p90_ms,
-        r.baseline.single.p99_ms, r.baseline.single.p999_ms,
-        r.baseline.samples_per_sec, p50_speedup, throughput_speedup);
+        r.single_iters, r.batch_rows, r.batch_reps, r.single.p50_ms,
+        r.single.p90_ms, r.single.p99_ms, r.single.p999_ms,
+        r.samples_per_sec);
     out << line;
     std::printf("results written to %s\n", path.c_str());
   }

@@ -15,10 +15,12 @@
 //      Reports offered/accepted/shed rates and the end-to-end latency of
 //      ADMITTED requests, whose p99 must stay within the configured SLO
 //      (that is the point of shedding at the door).
-//   3. mid-run hot-swap -- phase 1(b) runs with a publisher thread
-//      republishing the active generation every ~150 ms; every response is
-//      validated (finite, correct shape, probabilities summing to 1), and
-//      the run must finish with zero failed or invalid responses.
+//   3. mid-run hot-swap -- a re-adaptation publishes a second generation,
+//      then phase 1(b) runs with a thread rolling back and forth between
+//      the two every ~150 ms; every response is validated (finite, correct
+//      shape, probabilities summing to 1), the run must finish with zero
+//      failed or invalid responses, and a probe slot must see the served
+//      generation change (the bench exits non-zero otherwise).
 //
 // Writes one JSON line to BENCH_serving.json and a flight-recorder journal
 // + Perfetto trace (BENCH_serving_journal.jsonl / BENCH_serving_trace.json)
@@ -31,6 +33,7 @@
 #include <cstdio>
 #include <fstream>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -304,21 +307,30 @@ int main() {
   print_closed("batch=1", batch1);
 
   // -- Phase 1b + 3: closed-loop adaptive, hot-swaps injected mid-run -------
+  // A re-adaptation publishes the second generation the swaps alternate
+  // with (train's stays the rollback target).
+  pipeline.adapt_to_new_target(data::sample_few_shot(split.target_pool, 5, 8));
   ClosedLoopResult adaptive;
   std::uint64_t swaps = 0;
+  std::set<std::uint64_t> served_ids;
   {
     serve::ServeOptions opt;  // adaptive defaults (cap 64)
     serve::ServeDaemon daemon(pipeline, opt);
     daemon.start();
     std::atomic<bool> stop_swapper{false};
     std::thread swapper([&] {
+      auto probe = pipeline.create_serve_slot(0xb0beULL);
+      la::Matrix probe_x(1, test.cols());
+      la::Matrix probe_proba;
+      for (std::size_t c = 0; c < test.cols(); ++c) probe_x(0, c) = test(0, c);
       while (!stop_swapper.load(std::memory_order_relaxed)) {
         std::this_thread::sleep_for(std::chrono::milliseconds(150));
         if (stop_swapper.load(std::memory_order_relaxed)) break;
-        // Republishes the active generation (fresh ModelGeneration, fresh
-        // session): serving slots must rebind transparently.
-        pipeline.set_serving_plans_enabled(true);
-        ++swaps;
+        // Swaps the active generation: serving slots must rebind
+        // transparently.
+        if (pipeline.registry().rollback()) ++swaps;
+        pipeline.predict_proba_serve(probe_x, probe_proba, *probe);
+        served_ids.insert(probe->generation_id());
       }
     });
     adaptive = run_closed_loop(daemon, test, classes, clients, loop_seconds);
@@ -331,8 +343,9 @@ int main() {
                            ? adaptive.rows_per_sec / batch1.rows_per_sec
                            : 0.0;
   std::printf("adaptive/batch=1 throughput ratio: %.2fx (target >= 1.5x), "
-              "%llu hot-swaps, %llu failed, %llu invalid\n",
-              ratio, static_cast<unsigned long long>(swaps),
+              "%llu hot-swaps over %zu served generations, %llu failed, "
+              "%llu invalid\n",
+              ratio, static_cast<unsigned long long>(swaps), served_ids.size(),
               static_cast<unsigned long long>(adaptive.tally.failed),
               static_cast<unsigned long long>(adaptive.tally.invalid));
 
@@ -383,7 +396,8 @@ int main() {
         "\"adaptive\":{\"rows_per_sec\":%.1f,\"rows_per_batch\":%.2f,"
         "\"p50_ms\":%.4f,\"p90_ms\":%.4f,\"p99_ms\":%.4f,\"p999_ms\":%.4f},"
         "\"throughput_ratio\":%.3f,"
-        "\"hot_swap\":{\"swaps\":%llu,\"failed\":%llu,\"invalid\":%llu},"
+        "\"hot_swap\":{\"swaps\":%llu,\"served_generations\":%zu,"
+        "\"failed\":%llu,\"invalid\":%llu},"
         "\"overload\":{\"offered_per_sec\":%.1f,\"offered\":%llu,"
         "\"accepted\":%llu,\"shed\":%llu,\"shed_rate\":%.4f,"
         "\"admitted_p50_ms\":%.4f,\"admitted_p99_ms\":%.4f,"
@@ -394,7 +408,7 @@ int main() {
         batch1.latency.p99_ms, adaptive.rows_per_sec, adaptive.rows_per_batch,
         adaptive.latency.p50_ms, adaptive.latency.p90_ms,
         adaptive.latency.p99_ms, adaptive.latency.p999_ms, ratio,
-        static_cast<unsigned long long>(swaps),
+        static_cast<unsigned long long>(swaps), served_ids.size(),
         static_cast<unsigned long long>(adaptive.tally.failed),
         static_cast<unsigned long long>(adaptive.tally.invalid),
         overload.offered_per_sec,
@@ -405,6 +419,12 @@ int main() {
         overload.admitted.p99_ms <= kSloTargetMs ? "true" : "false");
     out << line;
     std::printf("results written to %s\n", path.c_str());
+  }
+  if (swaps > 0 && served_ids.size() < 2) {
+    std::fprintf(stderr, "bench_serving: %llu hot-swaps but the probe slot "
+                         "was always served by one generation\n",
+                 static_cast<unsigned long long>(swaps));
+    return 1;
   }
   return 0;
 }

@@ -71,33 +71,39 @@ AssemblyMap AssemblyMap::build(const std::vector<std::size_t>& trained_order,
 std::unique_ptr<InferenceSession> InferenceSession::build(
     models::Classifier& classifier, Reconstructor* reconstructor,
     const SeparationResult& sep, const AssemblyMap& map,
-    std::size_t monte_carlo_m, bool use_reconstruction) {
+    std::size_t monte_carlo_m, bool use_reconstruction,
+    std::shared_ptr<std::mutex> opaque_mu) {
+  FSDA_CHECK_MSG(map.from_recon.size() == map.src.size(),
+                 "AssemblyMap: src/from_recon size mismatch");
+  std::unique_ptr<InferenceSession> s(new InferenceSession());
+  s->monte_carlo_m_ = std::max<std::size_t>(monte_carlo_m, 1);
+  s->map_ = map;
+  s->opaque_mu_ = std::move(opaque_mu);
+  FSDA_CHECK_MSG(s->opaque_mu_ != nullptr, "InferenceSession needs a mutex");
+
+  // Only the neural classifiers expose a compilable network; everything
+  // else (and a network the compiler rejects) is an opaque stage.
+  s->classifier_ = &classifier;
   auto* mlp = dynamic_cast<models::MLPClassifier*>(&classifier);
-  if (mlp == nullptr || mlp->network() == nullptr) return nullptr;
-  auto clf_plan = nn::InferencePlan::compile(*mlp->network(),
-                                             mlp->num_features(),
-                                             /*append_softmax=*/true);
-  if (!clf_plan.has_value()) return nullptr;
-  if (map.src.size() != clf_plan->in_features() ||
-      map.from_recon.size() != map.src.size()) {
-    return nullptr;
+  if (mlp != nullptr && mlp->network() != nullptr) {
+    s->clf_plan_ = nn::InferencePlan::compile(*mlp->network(),
+                                              mlp->num_features(),
+                                              /*append_softmax=*/true);
+  }
+  if (s->clf_plan_.has_value()) {
+    FSDA_CHECK_MSG(map.src.size() == s->clf_plan_->in_features(),
+                   "AssemblyMap routes " << map.src.size()
+                                         << " columns, classifier takes "
+                                         << s->clf_plan_->in_features());
+    s->num_classes_ = mlp->num_classes();
   }
 
-  std::unique_ptr<InferenceSession> s(new InferenceSession());
-  s->num_classes_ = mlp->num_classes();
-  s->monte_carlo_m_ = std::max<std::size_t>(monte_carlo_m, 1);
-  s->clf_plan_ = std::move(clf_plan);
-  s->map_ = map;
-
-  const bool needs_recon =
-      use_reconstruction &&
+  const bool routes_recon =
       std::any_of(map.from_recon.begin(), map.from_recon.end(),
                   [](char c) { return c != 0; });
-  if (!needs_recon) {
-    if (std::any_of(map.from_recon.begin(), map.from_recon.end(),
-                    [](char c) { return c != 0; })) {
-      return nullptr;  // map asks for reconstructed columns we can't serve
-    }
+  if (!use_reconstruction || !routes_recon) {
+    FSDA_CHECK_MSG(!routes_recon,
+                   "AssemblyMap routes reconstructed columns in FS mode");
     s->cols_ = map.src;
     bool contiguous = true;
     for (std::size_t j = 0; j < s->cols_.size(); ++j) {
@@ -110,24 +116,33 @@ std::unique_ptr<InferenceSession> InferenceSession::build(
     return s;
   }
 
-  auto* gan = dynamic_cast<ConditionalGAN*>(reconstructor);
-  if (gan == nullptr || gan->generator_network() == nullptr) return nullptr;
-  if (gan->inv_dim() != sep.invariant.size() ||
-      gan->var_dim() != sep.variant.size()) {
-    return nullptr;
-  }
-  auto gen_plan = nn::InferencePlan::compile(
-      *gan->generator_network(), gan->inv_dim() + gan->noise_dim());
-  if (!gen_plan.has_value()) return nullptr;
-  if (gen_plan->out_features() != gan->var_dim()) return nullptr;
-
+  FSDA_CHECK_MSG(reconstructor != nullptr,
+                 "AssemblyMap routes reconstructed columns but the "
+                 "generation has no reconstructor");
   s->mode_ = Mode::Reconstruct;
-  s->gan_ = gan;
-  s->gen_plan_ = std::move(gen_plan);
+  s->reconstructor_ = reconstructor;
+  s->var_dim_ = sep.variant.size();
   s->cols_ = sep.invariant;
+  // Only the CGAN generator compiles (VAE/AE and the MeanImpute fallback
+  // run opaque).
+  auto* gan = dynamic_cast<ConditionalGAN*>(reconstructor);
+  if (gan != nullptr && gan->generator_network() != nullptr) {
+    FSDA_CHECK_MSG(gan->inv_dim() == sep.invariant.size() &&
+                       gan->var_dim() == sep.variant.size(),
+                   "CGAN shape does not match the generation's partition");
+    auto gen_plan = nn::InferencePlan::compile(
+        *gan->generator_network(), gan->inv_dim() + gan->noise_dim());
+    if (gen_plan.has_value() && gen_plan->out_features() == gan->var_dim()) {
+      s->gan_ = gan;
+      s->gen_plan_ = std::move(gen_plan);
+    }
+  }
   for (std::size_t j = 0; j < map.src.size(); ++j) {
     if (map.from_recon[j] != 0) {
-      if (map.src[j] >= gan->var_dim()) return nullptr;
+      FSDA_CHECK_MSG(map.src[j] < s->var_dim_,
+                     "AssemblyMap reads reconstructed column " << map.src[j]
+                                                               << " of "
+                                                               << s->var_dim_);
       s->recon_dst_.push_back(j);
       s->recon_src_.push_back(map.src[j]);
     } else {
@@ -142,74 +157,10 @@ std::unique_ptr<InferenceSession> InferenceSession::build(
   return s;
 }
 
-std::unique_ptr<InferenceSession> InferenceSession::build(
-    models::Classifier& classifier, Reconstructor* reconstructor,
-    const SeparationResult& sep, std::size_t monte_carlo_m,
-    bool use_reconstruction) {
-  // Only the neural classifiers expose a compilable network; tree/linear
-  // baselines keep the layer-API path.
-  auto* mlp = dynamic_cast<models::MLPClassifier*>(&classifier);
-  if (mlp == nullptr || mlp->network() == nullptr) return nullptr;
-  auto clf_plan = nn::InferencePlan::compile(*mlp->network(),
-                                             mlp->num_features(),
-                                             /*append_softmax=*/true);
-  if (!clf_plan.has_value()) return nullptr;
-
-  std::unique_ptr<InferenceSession> s(new InferenceSession());
-  s->num_classes_ = mlp->num_classes();
-  s->monte_carlo_m_ = std::max<std::size_t>(monte_carlo_m, 1);
-  s->clf_plan_ = std::move(clf_plan);
-
-  if (!use_reconstruction) {
-    // FS mode mirrors the layer path: invariant columns, or everything when
-    // the invariant set is empty (degenerate fallback).
-    if (sep.invariant.empty()) return s;  // Mode::Direct
-    s->mode_ = Mode::Select;
-    s->cols_ = sep.invariant;
-    if (s->cols_.size() != s->clf_plan_->in_features()) return nullptr;
-    for (const std::size_t c : s->cols_) {
-      s->min_input_cols_ = std::max(s->min_input_cols_, c + 1);
-    }
-    return s;
-  }
-  if (sep.variant.empty() || reconstructor == nullptr) {
-    // Nothing to reconstruct: classifier input is the [inv | var] gather.
-    s->mode_ = Mode::Select;
-    s->cols_ = sep.invariant;
-    s->cols_.insert(s->cols_.end(), sep.variant.begin(), sep.variant.end());
-    if (s->cols_.size() != s->clf_plan_->in_features()) return nullptr;
-    for (const std::size_t c : s->cols_) {
-      s->min_input_cols_ = std::max(s->min_input_cols_, c + 1);
-    }
-    return s;
-  }
-  // Full FS+GAN: only the CGAN generator is compilable (the MeanImpute
-  // fallback has no network and keeps the layer path).
-  auto* gan = dynamic_cast<ConditionalGAN*>(reconstructor);
-  if (gan == nullptr || gan->generator_network() == nullptr) return nullptr;
-  if (gan->inv_dim() != sep.invariant.size()) return nullptr;
-  auto gen_plan = nn::InferencePlan::compile(
-      *gan->generator_network(), gan->inv_dim() + gan->noise_dim());
-  if (!gen_plan.has_value()) return nullptr;
-  if (gen_plan->out_features() != gan->var_dim()) return nullptr;
-  if (s->clf_plan_->in_features() != gan->inv_dim() + gan->var_dim()) {
-    return nullptr;
-  }
-  s->mode_ = Mode::Reconstruct;
-  s->gan_ = gan;
-  s->gen_plan_ = std::move(gen_plan);
-  s->cols_ = sep.invariant;
-  s->map_.identity = true;  // trained partition == serving partition
-  for (const std::size_t c : s->cols_) {
-    s->min_input_cols_ = std::max(s->min_input_cols_, c + 1);
-  }
-  return s;
-}
-
 void InferenceSession::ServeContext::reserve(std::size_t rows) {
   if (rows == 0) return;
   const InferenceSession& s = *owner_;
-  s.clf_plan_->reserve(rows, clf_ws_);
+  if (s.clf_plan_.has_value()) s.clf_plan_->reserve(rows, ws_.clf);
   switch (s.mode_) {
     case Mode::Direct:
       break;
@@ -218,13 +169,19 @@ void InferenceSession::ServeContext::reserve(std::size_t rows) {
       break;
     case Mode::Reconstruct: {
       const std::size_t inv = s.cols_.size();
-      const std::size_t nz = s.gan_->noise_dim();
-      assembled_.resize(rows, s.clf_plan_->in_features());
-      g_in_.resize(rows, inv + nz);
-      noise_.resize(rows, nz);
-      if (!s.map_.identity) recon_.resize(rows, s.gan_->var_dim());
-      if (s.monte_carlo_m_ > 1) mc_tmp_.resize(rows, s.num_classes_);
-      s.gen_plan_->reserve(rows, gen_ws_);
+      assembled_.resize(rows, s.map_.src.size());
+      if (s.gen_plan_.has_value()) {
+        const std::size_t nz = s.gan_->noise_dim();
+        g_in_.resize(rows, inv + nz);
+        noise_.resize(rows, nz);
+        if (!s.map_.identity) recon_.resize(rows, s.var_dim_);
+        s.gen_plan_->reserve(rows, ws_.gen);
+      } else {
+        selected_.resize(rows, inv);
+      }
+      if (s.monte_carlo_m_ > 1 && s.clf_plan_.has_value()) {
+        mc_tmp_.resize(rows, s.num_classes_);
+      }
       break;
     }
   }
@@ -236,10 +193,22 @@ InferenceSession::create_serve_context(std::uint64_t noise_seed) const {
 }
 
 void InferenceSession::predict_proba_scaled(const la::Matrix& x,
+                                            la::Matrix& proba) {
+  run(x, proba, own_, /*noise=*/nullptr,
+      /*shard=*/x.rows() > 1 && !common::ThreadPool::in_worker());
+}
+
+void InferenceSession::predict_proba_scaled(const la::Matrix& x,
                                             la::Matrix& proba,
                                             ServeContext& ctx) const {
   FSDA_CHECK_MSG(ctx.owner_ == this,
                  "ServeContext bound to a different InferenceSession");
+  run(x, proba, ctx, &ctx.rng_, /*shard=*/false);
+}
+
+void InferenceSession::run(const la::Matrix& x, la::Matrix& proba,
+                           ServeContext& c, common::Rng* noise,
+                           bool shard) const {
   common::Stopwatch timer;
   const std::size_t rows = x.rows();
   proba.resize(rows, num_classes_);
@@ -248,69 +217,128 @@ void InferenceSession::predict_proba_scaled(const la::Matrix& x,
                  "InferenceSession: batch has " << x.cols()
                                                 << " columns, gathers need "
                                                 << min_input_cols_);
-  switch (mode_) {
-    case Mode::Direct:
-    case Mode::Select: {
-      la::ConstMatrixView in(x);
-      if (mode_ == Mode::Select) {
-        ctx.selected_.resize(rows, cols_.size());
-        gather_cols(x, cols_, ctx.selected_);
-        in = ctx.selected_;
-      }
-      clf_plan_->run(in, la::MatrixView(proba), ctx.clf_ws_);
-      break;
+
+  // Runs body(begin, end, workspaces) over [0, rows): inline on the
+  // context's workspaces, or sharded over the global pool with each chunk
+  // borrowing pool workspaces so concurrent chunks never share them.
+  auto for_rows = [&](auto&& body) {
+    if (!shard) {
+      body(std::size_t{0}, rows, c.ws_);
+      return;
     }
-    case Mode::Reconstruct: {
-      const std::size_t inv = cols_.size();
-      const std::size_t var = gan_->var_dim();
-      const std::size_t nz = gan_->noise_dim();
-      ctx.assembled_.resize(rows, clf_plan_->in_features());
-      ctx.g_in_.resize(rows, inv + nz);
-      gather_cols(x, cols_, la::MatrixView(ctx.g_in_).col_block(0, inv));
-      if (map_.identity) {
-        gather_cols(x, cols_,
-                    la::MatrixView(ctx.assembled_).col_block(0, inv));
-      } else {
-        const la::ConstMatrixView xv(x);
-        la::MatrixView av(ctx.assembled_);
-        for (std::size_t r = 0; r < rows; ++r) {
-          const double* in = xv.row_data(r);
-          double* out = av.row_data(r);
-          for (std::size_t i = 0; i < raw_dst_.size(); ++i) {
-            out[raw_dst_[i]] = in[raw_src_[i]];
-          }
+    common::parallel_for_chunked(rows, [&](std::size_t b, std::size_t e) {
+      Workspaces* ws = nullptr;
+      {
+        std::lock_guard<std::mutex> lk(pool_mu_);
+        if (pool_free_.empty()) {
+          pool_.push_back(std::make_unique<Workspaces>());
+          ws = pool_.back().get();
+        } else {
+          ws = pool_free_.back();
+          pool_free_.pop_back();
         }
-        ctx.recon_.resize(rows, var);
       }
-      static obs::Counter& draws_total =
-          obs::MetricsRegistry::global().counter(
-              "recon.draws_total", "Monte-Carlo reconstruction draws performed");
-      static obs::Counter& recon_rows_total =
-          obs::MetricsRegistry::global().counter(
-              "recon.rows_total", "rows passed through the reconstructor");
-      for (std::size_t m = 0; m < monte_carlo_m_; ++m) {
-        draws_total.inc();
-        recon_rows_total.inc(rows);
-        // Noise comes from the context's private stream: valid draws from
-        // the same N(0,1) law, decorrelated across concurrent workers.
-        gan_->sample_noise_into(rows, ctx.noise_, ctx.rng_);
-        la::MatrixView zdst = la::MatrixView(ctx.g_in_).col_block(inv, nz);
-        const la::ConstMatrixView zsrc(ctx.noise_);
+      body(b, e, *ws);
+      std::lock_guard<std::mutex> lk(pool_mu_);
+      pool_free_.push_back(ws);
+    });
+  };
+  // Opaque classifier stage: the whole batch, under the shared mutex.
+  auto classify_opaque = [&](const la::Matrix& in, la::Matrix& dst) {
+    std::lock_guard<std::mutex> lk(*opaque_mu_);
+    dst = classifier_->predict_proba(in);
+  };
+
+  if (mode_ != Mode::Reconstruct) {
+    const la::Matrix* in = &x;
+    if (mode_ == Mode::Select) {
+      c.selected_.resize(rows, cols_.size());
+      gather_cols(x, cols_, c.selected_);
+      in = &c.selected_;
+    }
+    if (clf_plan_.has_value()) {
+      for_rows([&](std::size_t b, std::size_t e, Workspaces& ws) {
+        clf_plan_->run(la::ConstMatrixView(*in).row_block(b, e - b),
+                       la::MatrixView(proba).row_block(b, e - b), ws.clf);
+      });
+    } else {
+      classify_opaque(*in, proba);
+    }
+  } else {
+    const std::size_t inv = cols_.size();
+    // The generator writes its rows straight into the variant block of the
+    // assembled classifier input when the map is the trained partition;
+    // otherwise reconstructions land in recon_ and scatter per map.
+    const bool direct = gen_plan_.has_value() && map_.identity;
+    la::Matrix& assembled = c.assembled_;
+    assembled.resize(rows, map_.src.size());
+    {
+      // Raw columns are draw-invariant: scatter them once per batch.
+      const la::ConstMatrixView xv(x);
+      la::MatrixView av(assembled);
+      for (std::size_t r = 0; r < rows; ++r) {
+        const double* in = xv.row_data(r);
+        double* out = av.row_data(r);
+        for (std::size_t i = 0; i < raw_dst_.size(); ++i) {
+          out[raw_dst_[i]] = in[raw_src_[i]];
+        }
+      }
+    }
+    std::size_t nz = 0;
+    if (gen_plan_.has_value()) {
+      nz = gan_->noise_dim();
+      c.g_in_.resize(rows, inv + nz);
+      gather_cols(x, cols_, la::MatrixView(c.g_in_).col_block(0, inv));
+      if (!direct) c.recon_.resize(rows, var_dim_);
+    } else {
+      c.selected_.resize(rows, inv);
+      gather_cols(x, cols_, c.selected_);
+    }
+    static obs::Counter& draws_total = obs::MetricsRegistry::global().counter(
+        "recon.draws_total", "Monte-Carlo reconstruction draws performed");
+    static obs::Counter& recon_rows_total =
+        obs::MetricsRegistry::global().counter(
+            "recon.rows_total", "rows passed through the reconstructor");
+    for (std::size_t m = 0; m < monte_carlo_m_; ++m) {
+      draws_total.inc();
+      recon_rows_total.inc(rows);
+      la::Matrix& dst = m == 0 ? proba : c.mc_tmp_;
+      dst.resize(rows, num_classes_);
+      if (gen_plan_.has_value()) {
+        // Noise is drawn serially -- from the GAN's own stream, exactly the
+        // sequence reconstruct() would consume, or from the context's
+        // private one -- then chunks only read it, so threaded and serial
+        // execution are bitwise-identical.
+        if (noise != nullptr) {
+          gan_->sample_noise_into(rows, c.noise_, *noise);
+        } else {
+          gan_->sample_noise_into(rows, c.noise_);
+        }
+        la::MatrixView zdst = la::MatrixView(c.g_in_).col_block(inv, nz);
+        const la::ConstMatrixView zsrc(c.noise_);
         for (std::size_t r = 0; r < rows; ++r) {
           std::copy_n(zsrc.row_data(r), nz, zdst.row_data(r));
         }
-        la::Matrix& dst = m == 0 ? proba : ctx.mc_tmp_;
-        dst.resize(rows, num_classes_);
-        if (map_.identity) {
-          gen_plan_->run(la::ConstMatrixView(ctx.g_in_),
-                         la::MatrixView(ctx.assembled_).col_block(inv, var),
-                         ctx.gen_ws_);
+      } else {
+        std::lock_guard<std::mutex> lk(*opaque_mu_);
+        c.recon_ = reconstructor_->reconstruct(c.selected_);
+      }
+      for_rows([&](std::size_t b, std::size_t e, Workspaces& ws) {
+        const std::size_t n = e - b;
+        if (direct) {
+          gen_plan_->run(
+              la::ConstMatrixView(c.g_in_).row_block(b, n),
+              la::MatrixView(assembled).col_block(inv, var_dim_).row_block(b,
+                                                                           n),
+              ws.gen);
         } else {
-          gen_plan_->run(la::ConstMatrixView(ctx.g_in_),
-                         la::MatrixView(ctx.recon_), ctx.gen_ws_);
-          const la::ConstMatrixView rv(ctx.recon_);
-          la::MatrixView av(ctx.assembled_);
-          for (std::size_t r = 0; r < rows; ++r) {
+          if (gen_plan_.has_value()) {
+            gen_plan_->run(la::ConstMatrixView(c.g_in_).row_block(b, n),
+                           la::MatrixView(c.recon_).row_block(b, n), ws.gen);
+          }
+          const la::ConstMatrixView rv(c.recon_);
+          la::MatrixView av(assembled);
+          for (std::size_t r = b; r < e; ++r) {
             const double* in = rv.row_data(r);
             double* out = av.row_data(r);
             for (std::size_t i = 0; i < recon_dst_.size(); ++i) {
@@ -318,191 +346,15 @@ void InferenceSession::predict_proba_scaled(const la::Matrix& x,
             }
           }
         }
-        clf_plan_->run(la::ConstMatrixView(ctx.assembled_),
-                       la::MatrixView(dst), ctx.clf_ws_);
-        if (m > 0) proba += ctx.mc_tmp_;
-      }
-      proba *= 1.0 / static_cast<double>(monte_carlo_m_);
-      break;
-    }
-  }
-
-  auto& im = obs::InferenceMetrics::global();
-  im.samples_total.inc(rows);
-  const double ms = timer.millis();
-  im.batch_latency_ms.record(ms);
-  im.samples_per_second.set(ms > 0.0 ? 1000.0 * static_cast<double>(rows) / ms
-                                     : 0.0);
-}
-
-void InferenceSession::reserve_batch(std::size_t rows) {
-  if (rows == 0) return;
-  switch (mode_) {
-    case Mode::Direct:
-      break;
-    case Mode::Select:
-      selected_.resize(rows, cols_.size());
-      break;
-    case Mode::Reconstruct: {
-      const std::size_t inv = cols_.size();
-      const std::size_t nz = gan_->noise_dim();
-      assembled_.resize(rows, clf_plan_->in_features());
-      g_in_.resize(rows, inv + nz);
-      noise_.resize(rows, nz);
-      if (!map_.identity) recon_.resize(rows, gan_->var_dim());
-      if (monte_carlo_m_ > 1) mc_tmp_.resize(rows, num_classes_);
-      break;
-    }
-  }
-  // One chunk workspace per pool worker (plus the serial caller); each is
-  // reserved for the full row count, which no chunk can exceed.
-  const std::size_t want =
-      threading_enabled_ ? common::ThreadPool::global().size() + 1 : 1;
-  std::lock_guard<std::mutex> lk(ctx_mu_);
-  while (ctx_pool_.size() < want) {
-    ctx_pool_.push_back(std::make_unique<Ctx>());
-    ctx_free_.push_back(ctx_pool_.back().get());
-  }
-  for (auto& c : ctx_pool_) {
-    clf_plan_->reserve(rows, c->clf_ws);
-    if (gen_plan_.has_value()) gen_plan_->reserve(rows, c->gen_ws);
-  }
-}
-
-InferenceSession::Ctx* InferenceSession::acquire_ctx() {
-  std::lock_guard<std::mutex> lk(ctx_mu_);
-  if (!ctx_free_.empty()) {
-    Ctx* c = ctx_free_.back();
-    ctx_free_.pop_back();
-    return c;
-  }
-  ctx_pool_.push_back(std::make_unique<Ctx>());
-  return ctx_pool_.back().get();
-}
-
-void InferenceSession::release_ctx(Ctx* ctx) {
-  std::lock_guard<std::mutex> lk(ctx_mu_);
-  ctx_free_.push_back(ctx);
-}
-
-void InferenceSession::predict_proba_scaled(const la::Matrix& x,
-                                            la::Matrix& proba) {
-  common::Stopwatch timer;
-  const std::size_t rows = x.rows();
-  proba.resize(rows, num_classes_);
-  if (rows == 0) return;
-  FSDA_CHECK_MSG(x.cols() >= min_input_cols_,
-                 "InferenceSession: batch has " << x.cols()
-                                                << " columns, gathers need "
-                                                << min_input_cols_);
-
-  // Shards [0, rows) over the global pool; each chunk borrows a Ctx so
-  // concurrent chunks never share plan workspaces.  The single-row (and
-  // serial) path calls the body directly -- no task queue, no std::function.
-  auto run_chunked = [&](auto&& body) {
-    if (threading_enabled_ && rows > 1 && !common::ThreadPool::in_worker()) {
-      common::parallel_for_chunked(rows, [&](std::size_t b, std::size_t e) {
-        Ctx* ctx = acquire_ctx();
-        body(b, e, *ctx);
-        release_ctx(ctx);
-      });
-    } else {
-      Ctx* ctx = acquire_ctx();
-      body(0, rows, *ctx);
-      release_ctx(ctx);
-    }
-  };
-
-  switch (mode_) {
-    case Mode::Direct:
-    case Mode::Select: {
-      la::ConstMatrixView in(x);
-      if (mode_ == Mode::Select) {
-        selected_.resize(rows, cols_.size());
-        gather_cols(x, cols_, selected_);
-        in = selected_;
-      }
-      run_chunked([&](std::size_t b, std::size_t e, Ctx& ctx) {
-        clf_plan_->run(in.row_block(b, e - b),
-                       la::MatrixView(proba).row_block(b, e - b), ctx.clf_ws);
-      });
-      break;
-    }
-    case Mode::Reconstruct: {
-      const std::size_t inv = cols_.size();
-      const std::size_t var = gan_->var_dim();
-      const std::size_t nz = gan_->noise_dim();
-      assembled_.resize(rows, clf_plan_->in_features());
-      g_in_.resize(rows, inv + nz);
-      gather_cols(x, cols_, la::MatrixView(g_in_).col_block(0, inv));
-      if (map_.identity) {
-        gather_cols(x, cols_, la::MatrixView(assembled_).col_block(0, inv));
-      } else {
-        // Raw columns are draw-invariant: scatter them once per batch.
-        const la::ConstMatrixView xv(x);
-        la::MatrixView av(assembled_);
-        for (std::size_t r = 0; r < rows; ++r) {
-          const double* in = xv.row_data(r);
-          double* out = av.row_data(r);
-          for (std::size_t i = 0; i < raw_dst_.size(); ++i) {
-            out[raw_dst_[i]] = in[raw_src_[i]];
-          }
+        if (clf_plan_.has_value()) {
+          clf_plan_->run(la::ConstMatrixView(assembled).row_block(b, n),
+                         la::MatrixView(dst).row_block(b, n), ws.clf);
         }
-        recon_.resize(rows, var);
-      }
-      // Same counters the layer path bumps, so dashboards agree.
-      static obs::Counter& draws_total =
-          obs::MetricsRegistry::global().counter(
-              "recon.draws_total", "Monte-Carlo reconstruction draws performed");
-      static obs::Counter& recon_rows_total =
-          obs::MetricsRegistry::global().counter(
-              "recon.rows_total", "rows passed through the reconstructor");
-      for (std::size_t m = 0; m < monte_carlo_m_; ++m) {
-        draws_total.inc();
-        recon_rows_total.inc(rows);
-        // Noise is drawn serially from the GAN's stream -- exactly the
-        // sequence reconstruct() would consume -- then chunks only read it,
-        // so threaded and serial execution are bitwise-identical.
-        gan_->sample_noise_into(rows, noise_);
-        la::MatrixView zdst = la::MatrixView(g_in_).col_block(inv, nz);
-        const la::ConstMatrixView zsrc(noise_);
-        for (std::size_t r = 0; r < rows; ++r) {
-          std::copy_n(zsrc.row_data(r), nz, zdst.row_data(r));
-        }
-        la::Matrix& dst = m == 0 ? proba : mc_tmp_;
-        dst.resize(rows, num_classes_);
-        run_chunked([&](std::size_t b, std::size_t e, Ctx& ctx) {
-          const std::size_t n = e - b;
-          if (map_.identity) {
-            // The generator writes its rows straight into the variant block
-            // of the assembled classifier input -- no hcat, no copies.
-            gen_plan_->run(
-                la::ConstMatrixView(g_in_).row_block(b, n),
-                la::MatrixView(assembled_).col_block(inv, var).row_block(b, n),
-                ctx.gen_ws);
-          } else {
-            // Cross-partition map: generate into the recon buffer, then
-            // scatter the mapped columns into the trained input order.
-            gen_plan_->run(la::ConstMatrixView(g_in_).row_block(b, n),
-                           la::MatrixView(recon_).row_block(b, n), ctx.gen_ws);
-            const la::ConstMatrixView rv(recon_);
-            la::MatrixView av(assembled_);
-            for (std::size_t r = b; r < e; ++r) {
-              const double* in = rv.row_data(r);
-              double* out = av.row_data(r);
-              for (std::size_t i = 0; i < recon_dst_.size(); ++i) {
-                out[recon_dst_[i]] = in[recon_src_[i]];
-              }
-            }
-          }
-          clf_plan_->run(la::ConstMatrixView(assembled_).row_block(b, n),
-                         la::MatrixView(dst).row_block(b, n), ctx.clf_ws);
-        });
-        if (m > 0) proba += mc_tmp_;
-      }
-      proba *= 1.0 / static_cast<double>(monte_carlo_m_);
-      break;
+      });
+      if (!clf_plan_.has_value()) classify_opaque(assembled, dst);
+      if (m > 0) proba += c.mc_tmp_;
     }
+    proba *= 1.0 / static_cast<double>(monte_carlo_m_);
   }
 
   auto& im = obs::InferenceMetrics::global();

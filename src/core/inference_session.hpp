@@ -1,28 +1,34 @@
-// fsda::core -- the packed serving path for a trained pipeline.
+// fsda::core -- the one inference path of a trained pipeline.
 //
-// An InferenceSession freezes the reconstruct->classify hot path of
-// FsGanPipeline::predict_proba into nn::InferencePlans (DESIGN.md §11):
-// the CGAN generator and the neural classifier are compiled once -- weights
-// packed into the panel-major GEMM layout, activations fused, dropout and
-// batch-norm folded -- and every subsequent prediction executes into
-// session-owned buffers with zero steady-state heap allocations.
+// An InferenceSession runs the reconstruct->assemble->classify chain of
+// FsGanPipeline predictions (paper Fig. 1(c), DESIGN.md §11) for one model
+// generation.  Each stage is either a compiled nn::InferencePlan or an
+// opaque stage:
 //
-// The session serves the same three separation regimes as the layer-API
-// path (FS-only / no-reconstructor / full FS+GAN) and reproduces its
-// numerics: the generator consumes the GAN's own noise stream in the same
-// order as reconstruct(), and the plan forwards match the layer forwards
-// to ~1e-12 under either GEMM kernel.
+//   - plans: the CGAN generator and the neural classifier are compiled
+//     once -- weights packed into the panel-major GEMM layout, activations
+//     fused, dropout and batch-norm folded -- and every prediction executes
+//     into caller-owned buffers with zero steady-state heap allocations;
+//   - opaque stages: any other classifier (RF, XGBoost, ...) or
+//     reconstructor (VAE, autoencoder, the MeanImpute fallback), or a
+//     network with an unsupported layer kind, is called through its own
+//     Classifier::predict_proba / Reconstructor::reconstruct.  Those models
+//     keep shared mutable state (workspaces, noise streams), so every
+//     opaque call holds one mutex the pipeline shares across all of its
+//     sessions.
 //
-// build() returns nullptr whenever the classifier or reconstructor is not
-// plan-compatible (non-MLP classifier, MeanImpute fallback, unsupported
-// layer kinds); the pipeline then falls back to the layer API untouched.
-// Health guardrails (quarantine, clamp envelope, uniform-row rewrites) stay
-// in the predict_proba wrapper and therefore apply to both paths.
+// The session serves the three separation regimes (FS-only /
+// no-reconstructor / full FS+GAN) and reproduces the models' own numerics:
+// the single-caller path draws generator noise from the GAN's own stream in
+// the order reconstruct() would, and the plan forwards match the layer
+// forwards to ~1e-12 under either GEMM kernel.  Health guardrails
+// (quarantine, clamp envelope, uniform-row rewrites) wrap the session in
+// the pipeline.
 //
-// Micro-batches are sharded over the global ThreadPool (noise is drawn
-// serially first, so serial and threaded execution are bitwise-identical);
-// single samples run inline.  predict_proba_scaled is not re-entrant --
-// call it from one thread at a time, as with the pipeline itself.
+// The single-caller predict shards micro-batches over the global
+// ThreadPool (noise is drawn serially first, so serial and threaded
+// execution are bitwise-identical) and is not re-entrant; the ServeContext
+// overload is, with one context per thread.
 #pragma once
 
 #include <cstddef>
@@ -71,39 +77,29 @@ struct AssemblyMap {
 };
 
 class InferenceSession {
+  /// Plan workspaces for one thread of execution.
+  struct Workspaces {
+    nn::InferenceWorkspace gen;
+    nn::InferenceWorkspace clf;
+  };
+
  public:
-  /// Compiles plans for the classifier (and reconstructor when the regime
-  /// needs one).  Returns nullptr when anything is not plan-compatible.
-  static std::unique_ptr<InferenceSession> build(models::Classifier& classifier,
-                                                 Reconstructor* reconstructor,
-                                                 const SeparationResult& sep,
-                                                 std::size_t monte_carlo_m,
-                                                 bool use_reconstruction);
+  /// Builds the session serving a classifier trained on one feature order
+  /// through the partition/reconstructor of a (possibly newer) generation,
+  /// routing each classifier input column per `map`.  Stages that do not
+  /// compile run opaque under `opaque_mu`; never returns null.  Throws when
+  /// the map does not fit the classifier/reconstructor shapes.
+  static std::unique_ptr<InferenceSession> build(
+      models::Classifier& classifier, Reconstructor* reconstructor,
+      const SeparationResult& sep, const AssemblyMap& map,
+      std::size_t monte_carlo_m, bool use_reconstruction,
+      std::shared_ptr<std::mutex> opaque_mu);
 
-  /// Generation-aware overload: serves a classifier trained on one feature
-  /// order through the partition/reconstructor of a (possibly newer)
-  /// generation, routing each classifier input column per `map`.  Returns
-  /// nullptr when anything is not plan-compatible or the map does not fit
-  /// the classifier/reconstructor shapes.
-  static std::unique_ptr<InferenceSession> build(models::Classifier& classifier,
-                                                 Reconstructor* reconstructor,
-                                                 const SeparationResult& sep,
-                                                 const AssemblyMap& map,
-                                                 std::size_t monte_carlo_m,
-                                                 bool use_reconstruction);
-
-  /// The packed equivalent of FsGanPipeline::predict_proba_scaled: `x` is
-  /// the scaled, sanitized batch in original feature order; `proba` is
-  /// resized to rows x num_classes.  Allocation-free once warm.
-  void predict_proba_scaled(const la::Matrix& x, la::Matrix& proba);
-
-  /// Per-caller execution context for the concurrent serving path: all
-  /// per-call buffers, private plan workspaces, and an independent noise
-  /// stream.  One context belongs to one thread at a time; with distinct
-  /// contexts, predict_proba_scaled(x, proba, ctx) is safe to call from
-  /// many threads at once (the compiled plans are immutable and shared).
-  /// A context is bound to the session that created it -- after a model
-  /// hot-swap, build a fresh context from the new session.
+  /// Per-caller execution state: every per-call buffer, private plan
+  /// workspaces, and an independent noise stream.  One context belongs to
+  /// one thread at a time.  A context is bound to the session that created
+  /// it -- after a model hot-swap, build a fresh context from the new
+  /// session.
   class ServeContext {
    public:
     /// Pre-sizes every buffer for batches of up to `rows` rows, so calls
@@ -115,9 +111,8 @@ class InferenceSession {
     ServeContext(const InferenceSession* owner, std::uint64_t noise_seed)
         : owner_(owner), rng_(noise_seed) {}
     const InferenceSession* owner_;
-    common::Rng rng_;  ///< private noise stream (Reconstruct mode)
-    nn::InferenceWorkspace gen_ws_;
-    nn::InferenceWorkspace clf_ws_;
+    common::Rng rng_;  ///< private noise stream (serve path only)
+    Workspaces ws_;
     la::Matrix selected_, assembled_, recon_, g_in_, noise_, mc_tmp_;
   };
 
@@ -127,77 +122,72 @@ class InferenceSession {
   [[nodiscard]] std::unique_ptr<ServeContext> create_serve_context(
       std::uint64_t noise_seed) const;
 
-  /// Re-entrant predict for the serving daemon: same math as the
-  /// single-caller overload, but every mutable buffer lives in `ctx` and
-  /// reconstruction noise comes from the context's own stream (the
-  /// session-owned overload consumes the GAN's stream to stay bitwise
-  /// aligned with the layer path).  Runs the batch serially on the calling
+  /// Single-caller predict (drift loop, validation, predict_proba): `x` is
+  /// the scaled, sanitized batch in original feature order; `proba` is
+  /// resized to rows x classes.  Generator noise comes from the GAN's own
+  /// stream; batches of more than one row shard over the global pool
+  /// unless the caller already runs on a pool worker.
+  void predict_proba_scaled(const la::Matrix& x, la::Matrix& proba);
+
+  /// Re-entrant predict for the serving daemon: the same chain, but every
+  /// mutable buffer lives in `ctx`, generator noise comes from the
+  /// context's own stream, and the batch runs serially on the calling
   /// thread -- a daemon's worker pool is the parallelism.
   void predict_proba_scaled(const la::Matrix& x, la::Matrix& proba,
                             ServeContext& ctx) const;
 
-  /// Grows the single-caller buffers and the chunk-workspace pool for
-  /// batches of up to `rows` rows, once; afterwards predict calls at any
-  /// batch size <= rows never reallocate, even when client batch sizes
-  /// vary from call to call (chunk boundaries -- and hence per-workspace
-  /// row counts -- move with the batch size, so without this the pool
-  /// would grow lazily toward its high-water mark).
-  void reserve_batch(std::size_t rows);
-
-  /// Toggles ThreadPool sharding of micro-batches (on by default); serial
-  /// and threaded execution produce identical output.
-  void set_threading_enabled(bool on) { threading_enabled_ = on; }
-
-  [[nodiscard]] std::size_t num_classes() const { return num_classes_; }
-  /// True when this session runs the generator plan (full FS+GAN regime).
-  [[nodiscard]] bool reconstructs() const { return gen_plan_.has_value(); }
+  /// True when every stage runs a compiled plan (no opaque stage).
+  [[nodiscard]] bool all_stages_compiled() const {
+    return clf_plan_.has_value() &&
+           (mode_ != Mode::Reconstruct || gen_plan_.has_value());
+  }
 
  private:
-  /// Per-execution-context workspaces (one per concurrent chunk).
-  struct Ctx {
-    nn::InferenceWorkspace gen_ws;
-    nn::InferenceWorkspace clf_ws;
-  };
-
   enum class Mode {
     Direct,       ///< classify x as-is (FS-only, empty invariant set)
     Select,       ///< classify a column gather of x
     Reconstruct,  ///< gather inv block, generate var block, classify
   };
 
-  InferenceSession() = default;
+  InferenceSession() : own_(this, 0) {}
 
-  Ctx* acquire_ctx();
-  void release_ctx(Ctx* ctx);
+  /// The one executor body: `c` supplies the buffers, `noise` the
+  /// generator's noise stream (null = the GAN's own), and `shard` whether
+  /// plan stages split the rows over the global pool.
+  void run(const la::Matrix& x, la::Matrix& proba, ServeContext& c,
+           common::Rng* noise, bool shard) const;
 
   Mode mode_ = Mode::Direct;
-  std::size_t num_classes_ = 0;
+  std::size_t num_classes_ = 0;  // 0 with an opaque classifier: its output
   std::size_t monte_carlo_m_ = 1;
-  bool threading_enabled_ = true;
 
+  // Classifier stage: a compiled plan, else the opaque classifier.
   std::optional<nn::InferencePlan> clf_plan_;
+  const models::Classifier* classifier_ = nullptr;
+  // Reconstruct mode: the generator plan fed by gan_'s noise, else the
+  // opaque reconstructor.
   std::optional<nn::InferencePlan> gen_plan_;
-  ConditionalGAN* gan_ = nullptr;  // non-owning; Mode::Reconstruct only
+  ConditionalGAN* gan_ = nullptr;
+  Reconstructor* reconstructor_ = nullptr;
+  std::size_t var_dim_ = 0;
+  std::shared_ptr<std::mutex> opaque_mu_;  // held by every opaque call
+
   std::vector<std::size_t> cols_;  // gather list (Select: all, Reconstruct: inv)
   AssemblyMap map_;                // Reconstruct: classifier column routing
   std::size_t min_input_cols_ = 0;  // raw width the gathers require
-  // Non-identity scatter lists: assembled_(.,raw_dst_[i]) = x(.,raw_src_[i])
-  // once per batch; assembled_(.,recon_dst_[i]) = recon_(.,recon_src_[i])
-  // once per Monte-Carlo draw.
+  // Scatter lists from the map: assembled(.,raw_dst_[i]) = x(.,raw_src_[i])
+  // once per batch; assembled(.,recon_dst_[i]) = recon(.,recon_src_[i])
+  // once per Monte-Carlo draw, unless the generator plan writes the
+  // identity map's variant block directly.
   std::vector<std::size_t> raw_dst_, raw_src_;
   std::vector<std::size_t> recon_dst_, recon_src_;
 
-  // Persistent buffers -- capacity reused across calls.
-  la::Matrix selected_;   // Select: gathered classifier input
-  la::Matrix assembled_;  // Reconstruct: classifier input in trained order
-  la::Matrix recon_;      // Reconstruct (non-identity map): generator output
-  la::Matrix g_in_;       // Reconstruct: [x_inv | z] generator input
-  la::Matrix noise_;      // Reconstruct: z draws
-  la::Matrix mc_tmp_;     // Reconstruct: per-draw probabilities (M > 1)
+  ServeContext own_;  // the single-caller path's buffers
 
-  std::mutex ctx_mu_;
-  std::vector<std::unique_ptr<Ctx>> ctx_pool_;
-  std::vector<Ctx*> ctx_free_;
+  // Sharded chunks borrow workspaces from this pool.
+  mutable std::mutex pool_mu_;
+  mutable std::vector<std::unique_ptr<Workspaces>> pool_;
+  mutable std::vector<Workspaces*> pool_free_;
 };
 
 }  // namespace fsda::core

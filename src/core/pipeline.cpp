@@ -216,11 +216,11 @@ std::shared_ptr<ModelGeneration> FsGanPipeline::make_generation(
     // batch-vs-source divergence is the drift signal worth exporting.
     gen->drift_monitor.fit(source_scaled_, gen->separation.variant, {});
   }
-  if (serving_plans_enabled_ && classifier_ != nullptr) {
-    gen->session = InferenceSession::build(
-        *classifier_, gen->reconstructor.get(), gen->separation, gen->assembly,
-        options_.monte_carlo_m, options_.use_reconstruction);
-  }
+  FSDA_CHECK_MSG(classifier_ != nullptr, "make_generation before train");
+  gen->session = InferenceSession::build(
+      *classifier_, gen->reconstructor.get(), gen->separation, gen->assembly,
+      options_.monte_carlo_m, options_.use_reconstruction, opaque_mu_);
+  FSDA_CHECK_MSG(gen->session != nullptr, "generation without a session");
   return gen;
 }
 
@@ -229,11 +229,7 @@ void FsGanPipeline::stamp_validation_accuracy(ModelGeneration& gen,
   gen.validation_accuracy = carry;
   if (validation_x_.rows() == 0) return;
   la::Matrix proba;
-  if (gen.session != nullptr) {
-    gen.session->predict_proba_scaled(validation_x_, proba);
-  } else {
-    proba = predict_proba_scaled(validation_x_, gen);
-  }
+  gen.session->predict_proba_scaled(validation_x_, proba);
   const std::vector<std::int64_t> pred = models::argmax_rows(proba);
   std::size_t hits = 0;
   for (std::size_t r = 0; r < pred.size(); ++r) {
@@ -579,8 +575,7 @@ const la::GramStats& FsGanPipeline::source_stats() {
 }
 
 ValidationVerdict FsGanPipeline::validate_generation(
-    const std::shared_ptr<ModelGeneration>& gen, const ValidationOptions& vo,
-    bool allow_layer_path) {
+    const std::shared_ptr<ModelGeneration>& gen, const ValidationOptions& vo) {
   ValidationVerdict v;
   const GenerationPtr active = registry_.active();
   v.baseline = active != nullptr ? active->validation_accuracy : 0.0;
@@ -594,16 +589,7 @@ ValidationVerdict FsGanPipeline::validate_generation(
     return v;
   }
   la::Matrix proba;
-  if (gen->session != nullptr) {
-    gen->session->predict_proba_scaled(validation_x_, proba);
-  } else if (allow_layer_path) {
-    proba = predict_proba_scaled(validation_x_, *gen);
-  } else {
-    v.reason =
-        "candidate is not plan-compatible and the layer path is not safe "
-        "from this thread";
-    return v;
-  }
+  gen->session->predict_proba_scaled(validation_x_, proba);
   for (const double p : proba.data()) {
     if (!std::isfinite(p)) {
       v.reason = "candidate produced non-finite probabilities";
@@ -658,84 +644,15 @@ std::uint64_t FsGanPipeline::promote_generation(
   return registry_.publish(std::move(gen));
 }
 
-void FsGanPipeline::set_serving_plans_enabled(bool on) {
-  serving_plans_enabled_ = on;
-  const GenerationPtr active = registry_.active();
-  if (active == nullptr) return;
-  // Republish the active generation's state with plans recompiled (or
-  // dropped): the reconstructor is SHARED, so the layer path and a later
-  // re-enable keep consuming the same GAN noise stream.
-  auto gen = make_generation(active->separation, active->reconstructor,
-                             "replan");
-  gen->validation_accuracy = active->validation_accuracy;
-  registry_.publish(std::move(gen));
-}
-
-la::Matrix FsGanPipeline::predict_proba_scaled(const la::Matrix& x,
-                                               const ModelGeneration& gen) {
-  const auto& sep = gen.separation;
-
-  if (!options_.use_reconstruction) {
-    if (sep.invariant.empty()) return classifier_->predict_proba(x);
-    return classifier_->predict_proba(x.select_cols(trained_order_));
-  }
-
-  if (sep.variant.empty() || gen.reconstructor == nullptr) {
-    // Nothing detected as drifting: classify the trained-order gather (all
-    // columns raw under this generation's map).
-    return classifier_->predict_proba(x.select_cols(trained_order_));
-  }
-
-  const la::Matrix x_inv = x.select_cols(sep.invariant);
-  // Static handles: the registry is leaked, so these references never
-  // dangle, and the per-call cost is two gated atomic adds.
-  static obs::Counter& draws_total = obs::MetricsRegistry::global().counter(
-      "recon.draws_total", "Monte-Carlo reconstruction draws performed");
-  static obs::Counter& recon_rows_total =
-      obs::MetricsRegistry::global().counter(
-          "recon.rows_total", "rows passed through the reconstructor");
-  la::Matrix proba;
-  for (std::size_t m = 0; m < options_.monte_carlo_m; ++m) {
-    draws_total.inc();
-    recon_rows_total.inc(x_inv.rows());
-    const la::Matrix x_var_hat = gen.reconstructor->reconstruct(x_inv);
-    la::Matrix assembled;
-    if (gen.assembly.identity) {
-      assembled = x_inv.hcat(x_var_hat);  // eq. 11
-    } else {
-      // Cross-partition map: route each trained input column to its raw
-      // feature or its column of the fresh reconstruction.
-      const auto& map = gen.assembly;
-      assembled = la::Matrix::uninit(x.rows(), map.src.size());
-      for (std::size_t r = 0; r < x.rows(); ++r) {
-        for (std::size_t j = 0; j < map.src.size(); ++j) {
-          assembled(r, j) = map.from_recon[j] != 0 ? x_var_hat(r, map.src[j])
-                                                   : x(r, map.src[j]);
-        }
-      }
-    }
-    la::Matrix p = classifier_->predict_proba(assembled);
-    if (m == 0) proba = std::move(p);
-    else proba += p;
-  }
-  proba *= 1.0 / static_cast<double>(options_.monte_carlo_m);
-  return proba;
-}
-
 la::Matrix FsGanPipeline::predict_proba(const la::Matrix& x_raw) {
   la::Matrix proba;
   predict_proba_into(x_raw, proba);
   return proba;
 }
 
-void FsGanPipeline::predict_proba_into(const la::Matrix& x_raw,
-                                       la::Matrix& proba) {
-  FSDA_SPAN("pipeline.predict");
-  FSDA_CHECK_MSG(trained_, "predict before train");
-  // One atomic snapshot per batch: a concurrent promote/rollback swaps the
-  // NEXT batch's generation, never this one's mid-flight.
-  const GenerationPtr gen = registry_.active();
-  FSDA_CHECK_MSG(gen != nullptr, "predict with no published generation");
+FsGanPipeline::GuardrailTally FsGanPipeline::guarded_predict(
+    const ModelGeneration& gen, const la::Matrix& x_raw, la::Matrix& x,
+    la::Matrix& proba, InferenceSession::ServeContext* ctx) const {
   static auto& registry = obs::MetricsRegistry::global();
   static obs::Counter& rows_total =
       registry.counter("predict.rows_total", "rows scored by predict_proba");
@@ -750,19 +667,20 @@ void FsGanPipeline::predict_proba_into(const la::Matrix& x_raw,
   static obs::HdrHistogram& latency_ms = registry.hdr(
       "predict.latency_ms", obs::HdrOptions{},
       "predict_proba batch latency (ms), log-linear quantile histogram");
-  const bool telemetry = obs::telemetry_enabled();
   FSDA_EVENT_SCOPE(obs::EventCategory::Serving, "predict.batch");
   common::Stopwatch timer;
+  GuardrailTally tally;
 
   // Quarantine rows with non-finite raw features before they reach any
   // network.  Both policies impute the scaled midpoint first (the matrix
   // must be finite end to end); Reject additionally overwrites the
   // quarantined rows' output with the uniform distribution.
+  // MinMaxScaler's transform_into/clamp_transformed are const and write
+  // only through the caller's destination, so they are re-entrant.
   const std::vector<std::size_t> bad_rows = nonfinite_rows(x_raw);
-  scaler_.transform_into(x_raw, predict_x_);
-  la::Matrix& x = predict_x_;
+  scaler_.transform_into(x_raw, x);
+  tally.quarantined = bad_rows.size();
   if (!bad_rows.empty()) {
-    health_.quarantined_rows += bad_rows.size();
     quarantined_total.inc(bad_rows.size());
     for (std::size_t r : bad_rows) {
       for (std::size_t c = 0; c < x.cols(); ++c) {
@@ -770,41 +688,31 @@ void FsGanPipeline::predict_proba_into(const la::Matrix& x_raw,
       }
     }
   }
-  std::size_t clamped_now = 0;
   if (options_.clamp_margin >= 0.0) {
-    clamped_now = scaler_.clamp_transformed(x, options_.clamp_margin);
-    health_.clamped_cells += clamped_now;
-    clamped_total.inc(clamped_now);
+    tally.clamped = scaler_.clamp_transformed(x, options_.clamp_margin);
+    clamped_total.inc(tally.clamped);
   }
-  if (telemetry) update_drift_gauges(*gen, x, bad_rows.size(), clamped_now);
 
-  if (gen->session != nullptr) {
-    gen->session->predict_proba_scaled(x, proba);
+  if (ctx != nullptr) {
+    gen.session->predict_proba_scaled(x, proba, *ctx);
   } else {
-    proba = predict_proba_scaled(x, *gen);
+    gen.session->predict_proba_scaled(x, proba);
   }
 
   const double uniform = 1.0 / static_cast<double>(num_classes_);
-  if (!bad_rows.empty() &&
-      options_.quarantine == QuarantinePolicy::Reject) {
-    health_.rejected_rows += bad_rows.size();
+  if (!bad_rows.empty() && options_.quarantine == QuarantinePolicy::Reject) {
     for (std::size_t r : bad_rows) {
       for (std::size_t c = 0; c < proba.cols(); ++c) proba(r, c) = uniform;
     }
   }
-
   // Last-line guard: the pipeline never emits a non-finite probability,
   // whatever state the classifier or reconstructor is in.
   const std::vector<std::size_t> bad_out = nonfinite_rows(proba);
-  if (!bad_out.empty()) {
-    for (std::size_t r : bad_out) {
-      for (std::size_t c = 0; c < proba.cols(); ++c) proba(r, c) = uniform;
-    }
-    health_.note_stage("predict", false,
-                       std::to_string(bad_out.size()) +
-                           " row(s) produced non-finite probabilities; "
-                           "served uniform");
+  tally.nonfinite_out = bad_out.size();
+  for (std::size_t r : bad_out) {
+    for (std::size_t c = 0; c < proba.cols(); ++c) proba(r, c) = uniform;
   }
+
   rows_total.inc(x_raw.rows());
   batches_total.inc();
   const double elapsed_ms = timer.millis();
@@ -812,6 +720,33 @@ void FsGanPipeline::predict_proba_into(const la::Matrix& x_raw,
   // The SLO signal is always-on (it feeds admission decisions, not
   // dashboards), like gauges.
   obs::serving_slo().record(elapsed_ms);
+  return tally;
+}
+
+void FsGanPipeline::predict_proba_into(const la::Matrix& x_raw,
+                                       la::Matrix& proba) {
+  FSDA_SPAN("pipeline.predict");
+  FSDA_CHECK_MSG(trained_, "predict before train");
+  // One atomic snapshot per batch: a concurrent promote/rollback swaps the
+  // NEXT batch's generation, never this one's mid-flight.
+  const GenerationPtr gen = registry_.active();
+  FSDA_CHECK_MSG(gen != nullptr, "predict with no published generation");
+  const GuardrailTally t =
+      guarded_predict(*gen, x_raw, predict_x_, proba, /*ctx=*/nullptr);
+  health_.quarantined_rows += t.quarantined;
+  health_.clamped_cells += t.clamped;
+  if (options_.quarantine == QuarantinePolicy::Reject) {
+    health_.rejected_rows += t.quarantined;
+  }
+  if (t.nonfinite_out > 0) {
+    health_.note_stage("predict", false,
+                       std::to_string(t.nonfinite_out) +
+                           " row(s) produced non-finite probabilities; "
+                           "served uniform");
+  }
+  if (obs::telemetry_enabled()) {
+    update_drift_gauges(*gen, predict_x_, t.quarantined, t.clamped);
+  }
 }
 
 std::unique_ptr<FsGanPipeline::ServeSlot> FsGanPipeline::create_serve_slot(
@@ -837,76 +772,12 @@ void FsGanPipeline::predict_proba_serve(const la::Matrix& x_raw,
     // Hot-swap (or first call): rebind the slot.  The context rebuild
     // happens here, off the registry's writer lock, so a publish never
     // stalls behind serving workers and vice versa.
-    if (gen->session != nullptr) {
-      slot.ctx_ = gen->session->create_serve_context(
-          slot.noise_seed_ ^ (gen->id * 0x9e3779b97f4a7c15ULL));
-      if (slot.reserve_rows_ > 0) slot.ctx_->reserve(slot.reserve_rows_);
-    } else {
-      slot.ctx_.reset();
-    }
+    slot.ctx_ = gen->session->create_serve_context(
+        slot.noise_seed_ ^ (gen->id * 0x9e3779b97f4a7c15ULL));
+    if (slot.reserve_rows_ > 0) slot.ctx_->reserve(slot.reserve_rows_);
     slot.generation_ = gen;
   }
-
-  static auto& registry = obs::MetricsRegistry::global();
-  static obs::Counter& rows_total =
-      registry.counter("predict.rows_total", "rows scored by predict_proba");
-  static obs::Counter& batches_total = registry.counter(
-      "predict.batches_total", "predict_proba batch invocations");
-  static obs::Counter& quarantined_total = registry.counter(
-      "predict.quarantined_rows_total",
-      "inference rows quarantined for non-finite raw features");
-  static obs::Counter& clamped_total = registry.counter(
-      "predict.clamped_cells_total",
-      "scaled inference cells clamped into the envelope");
-  static obs::HdrHistogram& latency_ms = registry.hdr(
-      "predict.latency_ms", obs::HdrOptions{},
-      "predict_proba batch latency (ms), log-linear quantile histogram");
-  FSDA_EVENT_SCOPE(obs::EventCategory::Serving, "predict.batch");
-  common::Stopwatch timer;
-
-  // Same guardrail sequence as predict_proba_into, against slot buffers.
-  // MinMaxScaler's transform_into/clamp_transformed are const and write
-  // only through the caller's destination, so they are re-entrant.
-  const std::vector<std::size_t> bad_rows = nonfinite_rows(x_raw);
-  scaler_.transform_into(x_raw, slot.x_scaled_);
-  la::Matrix& x = slot.x_scaled_;
-  if (!bad_rows.empty()) {
-    quarantined_total.inc(bad_rows.size());
-    for (std::size_t r : bad_rows) {
-      for (std::size_t c = 0; c < x.cols(); ++c) {
-        if (!std::isfinite(x(r, c))) x(r, c) = 0.0;
-      }
-    }
-  }
-  if (options_.clamp_margin >= 0.0) {
-    clamped_total.inc(scaler_.clamp_transformed(x, options_.clamp_margin));
-  }
-
-  if (slot.ctx_ != nullptr) {
-    gen->session->predict_proba_scaled(x, proba, *slot.ctx_);
-  } else {
-    // Layer-API generations share the classifier's workspaces: rare
-    // (plan-incompatible regimes only), so serialization is acceptable.
-    std::lock_guard<std::mutex> lk(*serve_layer_mu_);
-    proba = predict_proba_scaled(x, *gen);
-  }
-
-  const double uniform = 1.0 / static_cast<double>(num_classes_);
-  if (!bad_rows.empty() && options_.quarantine == QuarantinePolicy::Reject) {
-    for (std::size_t r : bad_rows) {
-      for (std::size_t c = 0; c < proba.cols(); ++c) proba(r, c) = uniform;
-    }
-  }
-  const std::vector<std::size_t> bad_out = nonfinite_rows(proba);
-  for (std::size_t r : bad_out) {
-    for (std::size_t c = 0; c < proba.cols(); ++c) proba(r, c) = uniform;
-  }
-
-  rows_total.inc(x_raw.rows());
-  batches_total.inc();
-  const double elapsed_ms = timer.millis();
-  latency_ms.record(elapsed_ms);
-  obs::serving_slo().record(elapsed_ms);
+  guarded_predict(*gen, x_raw, slot.x_scaled_, proba, slot.ctx_.get());
 }
 
 void FsGanPipeline::update_drift_gauges(const ModelGeneration& gen,

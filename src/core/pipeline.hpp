@@ -198,10 +198,10 @@ class FsGanPipeline {
   /// the same one-acquire-load-per-batch generation snapshot, but every
   /// mutable buffer lives in `slot`, so concurrent callers with distinct
   /// slots never race.  Differences from predict_proba_into: the
-  /// HealthReport is not updated (it is not thread-safe; the atomic
-  /// predict.* counters carry the same signals), last_scaled_batch() is
-  /// not refreshed, and generations without a packed session serialize on
-  /// an internal mutex (the layer classifier's workspace is shared).
+  /// HealthReport and drift gauges are not updated (they are not
+  /// thread-safe; the atomic predict.* counters carry the same signals),
+  /// last_scaled_batch() is not refreshed, and the batch runs serially on
+  /// the calling thread.
   void predict_proba_serve(const la::Matrix& x_raw, la::Matrix& proba,
                            ServeSlot& slot);
 
@@ -247,13 +247,10 @@ class FsGanPipeline {
 
   /// Scores a candidate against the held-out source slice: finite scan,
   /// uniform-output fraction, accuracy floor, and max drop vs. the active
-  /// generation.  `allow_layer_path` must be false when validating from a
-  /// background thread while the serving path may use the layer API (the
-  /// layer classifier's workspace is not thread-safe); plan-compiled
-  /// candidates validate through their own session either way.
+  /// generation.  Runs through the candidate's own session, so it is safe
+  /// from a background thread while serving continues.
   [[nodiscard]] ValidationVerdict validate_generation(
-      const std::shared_ptr<ModelGeneration>& gen, const ValidationOptions& vo,
-      bool allow_layer_path = true);
+      const std::shared_ptr<ModelGeneration>& gen, const ValidationOptions& vo);
 
   /// Atomically publishes a (validated) candidate; returns its id.  Sets
   /// the candidate's validation_accuracy beforehand via the verdict.
@@ -283,24 +280,12 @@ class FsGanPipeline {
 
   // ------------------------------------------------------------------------
 
-  /// Enables/disables the packed serving plans (core/inference_session.hpp).
-  /// Disabling routes predictions through the layer API; re-enabling
-  /// recompiles the plans from the current networks.  Publishes a "replan"
-  /// generation sharing the active one's partition and reconstructor.
-  /// Test/benchmark hook.
-  void set_serving_plans_enabled(bool on);
-  /// True when predictions currently route through packed inference plans
-  /// (false before train() or when a component is not plan-compatible).
+  /// True when every stage of the active generation's session is a
+  /// compiled plan (false before train() or when a classifier or
+  /// reconstructor runs as an opaque stage).
   [[nodiscard]] bool serving_plans_active() const {
     const GenerationPtr g = registry_.active();
-    return g != nullptr && g->session != nullptr;
-  }
-  /// The active generation's session, or nullptr; white-box access for
-  /// tests/benchmarks (e.g. toggling micro-batch threading).  Invalidated
-  /// by train/adapt/promote.
-  [[nodiscard]] InferenceSession* serving_session() {
-    const GenerationPtr g = registry_.active();
-    return g != nullptr ? g->session.get() : nullptr;
+    return g != nullptr && g->session->all_stages_compiled();
   }
 
   /// Partition of the actively served generation.  The reference stays
@@ -334,17 +319,28 @@ class FsGanPipeline {
       const SeparationResult& sep, HealthReport& health, std::uint64_t seed,
       const Reconstructor* warm_from = nullptr);
   /// Assembles an immutable generation: AssemblyMap for the trained order,
-  /// packed session (when enabled + compatible), drift reference over the
+  /// inference session (never null), drift reference over the
   /// partition's variant block.  When `reuse` is non-null and carries the
   /// identical partition, its AssemblyMap and fitted DriftMonitor are
   /// copied instead of rebuilt (generation build cache).
   std::shared_ptr<ModelGeneration> make_generation(
       SeparationResult sep, std::shared_ptr<Reconstructor> reconstructor,
       std::string provenance, const ModelGeneration* reuse = nullptr);
-  /// The pre-guardrail layer-API predict path for one generation, on
-  /// already scaled/sanitized inputs.
-  [[nodiscard]] la::Matrix predict_proba_scaled(const la::Matrix& x,
-                                                const ModelGeneration& gen);
+  /// What guarded_predict saw, for the single-caller side's HealthReport.
+  struct GuardrailTally {
+    std::size_t quarantined = 0;    ///< rows with non-finite raw features
+    std::size_t clamped = 0;        ///< scaled cells clamped
+    std::size_t nonfinite_out = 0;  ///< output rows rewritten to uniform
+  };
+  /// The one guardrail sequence both predict entry points wrap: scale
+  /// `x_raw` into `x`, quarantine non-finite rows, clamp, score through
+  /// `gen`'s session (single-caller path when `ctx` is null, else the
+  /// re-entrant one on `ctx`), apply the Reject rewrite and the finite
+  /// output guard, and record the predict.* counters and latency.
+  GuardrailTally guarded_predict(const ModelGeneration& gen,
+                                 const la::Matrix& x_raw, la::Matrix& x,
+                                 la::Matrix& proba,
+                                 InferenceSession::ServeContext* ctx) const;
   /// Scores `gen` on the holdout and stamps gen->validation_accuracy; no-op
   /// (keeps `carry` accuracy) when the holdout is empty.
   void stamp_validation_accuracy(ModelGeneration& gen, double carry);
@@ -403,11 +399,11 @@ class FsGanPipeline {
   HealthReport health_;
   bool trained_ = false;
 
-  bool serving_plans_enabled_ = true;
   la::Matrix predict_x_;
-  /// Serializes serve-path callers through the layer API (shared classifier
-  /// workspaces); heap-held so the pipeline stays movable.
-  std::unique_ptr<std::mutex> serve_layer_mu_ = std::make_unique<std::mutex>();
+  /// Serializes every opaque session stage (a classifier or reconstructor
+  /// without a compiled plan keeps shared workspaces and noise state);
+  /// shared with each session make_generation builds.
+  std::shared_ptr<std::mutex> opaque_mu_ = std::make_shared<std::mutex>();
 };
 
 }  // namespace fsda::core

@@ -49,10 +49,12 @@ class ShardedQueue {
     if (closed_.load(std::memory_order_acquire)) return false;
     Shard& s = *shards_[next_ticket(push_ticket_)];
     {
+      // Count the item before unlocking: once it is visible a consumer may
+      // take it and subtract, and depth_ must never wrap below zero.
       std::lock_guard<std::mutex> lk(s.mu);
       s.items.push_back(std::move(item));
+      depth_.fetch_add(1, std::memory_order_release);
     }
-    depth_.fetch_add(1, std::memory_order_release);
     cv_.notify_one();
     return true;
   }

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <set>
 #include <thread>
 
 #include "baselines/ours.hpp"
@@ -515,22 +517,29 @@ TEST(DriftLoopTest, ConcurrentPredictDuringHotSwapStress) {
   const LoopFixture fx;
   FsGanPipeline pipeline = fx.make_pipeline(11);
   pipeline.train(fx.split.source_train, fx.shots);
+  pipeline.adapt_to_new_target(
+      data::sample_few_shot(fx.split.target_pool, 5, 4));
+  ASSERT_EQ(pipeline.registry().active_id(), 2u);
   const la::Matrix batch = slice_rows(fx.split.target_test.x, 0, 32);
 
-  // Serving thread: stream predictions continuously.  Main thread: publish
-  // replan generations (plan-compiled and layer-path alike) and roll back,
-  // i.e. hot-swap the active generation under live traffic.  Every call
-  // must complete (never block, never throw) and emit valid distributions.
+  // Serving thread: stream predictions continuously.  Main thread: roll
+  // back between the two published generations, i.e. hot-swap the active
+  // generation under live traffic.  Every call must complete (never block,
+  // never throw) and emit valid distributions, and the serving thread must
+  // see the active generation change.
   std::atomic<std::size_t> bad{0};
   std::atomic<bool> serving_failed{false};
+  std::atomic<bool> serving_done{false};
+  std::set<std::uint64_t> served_ids;
   std::thread server([&] {
     la::Matrix proba;
-    for (int i = 0; i < 200; ++i) {
+    for (int i = 0; i < 200 || (served_ids.size() < 2 && i < 20000); ++i) {
+      served_ids.insert(pipeline.registry().active_id());
       try {
         pipeline.predict_proba_into(batch, proba);
       } catch (...) {
         serving_failed.store(true);
-        return;
+        break;
       }
       for (std::size_t r = 0; r < proba.rows(); ++r) {
         double total = 0.0;
@@ -542,19 +551,25 @@ TEST(DriftLoopTest, ConcurrentPredictDuringHotSwapStress) {
         if (!finite || std::abs(total - 1.0) > 1e-6) bad.fetch_add(1);
       }
     }
+    serving_done.store(true);
   });
 
-  for (int i = 0; i < 20; ++i) {
-    pipeline.set_serving_plans_enabled(i % 2 == 1);
-    if (i % 3 == 2) pipeline.registry().rollback();
+  std::size_t swaps = 0;
+  while (!serving_done.load()) {
+    if (!pipeline.registry().rollback()) {
+      ADD_FAILURE() << "nothing to roll back to";
+      break;
+    }
+    ++swaps;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  pipeline.set_serving_plans_enabled(true);
   server.join();
 
   EXPECT_FALSE(serving_failed.load());
   EXPECT_EQ(bad.load(), 0u);
-  EXPECT_GE(pipeline.registry().published_total(), 21u);
+  EXPECT_GE(swaps, 1u);
+  EXPECT_EQ(served_ids, (std::set<std::uint64_t>{1u, 2u}));
+  EXPECT_EQ(pipeline.registry().rollbacks_total(), swaps);
   EXPECT_TRUE(pipeline.serving_plans_active());
 }
 

@@ -8,6 +8,7 @@
 #include <limits>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "core/cgan.hpp"
 #include "core/inference_session.hpp"
 #include "core/pipeline.hpp"
@@ -370,7 +371,49 @@ data::Dataset make_target(std::uint64_t seed) {
   return ds;
 }
 
-core::FsGanPipeline make_pipeline(std::uint64_t seed) {
+/// Forwards every call to a wrapped classifier while hiding its type, so
+/// the session cannot compile it and serves it through the opaque stage.
+class OpaqueClassifier : public models::Classifier {
+ public:
+  explicit OpaqueClassifier(std::unique_ptr<models::Classifier> inner)
+      : inner_(std::move(inner)) {}
+  using models::Classifier::fit;
+  void fit(const la::Matrix& x, const std::vector<std::int64_t>& y,
+           std::size_t num_classes,
+           const std::vector<double>& weights) override {
+    inner_->fit(x, y, num_classes, weights);
+  }
+  [[nodiscard]] la::Matrix predict_proba(const la::Matrix& x) const override {
+    return inner_->predict_proba(x);
+  }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<models::Classifier> inner_;
+};
+
+/// The reconstructor counterpart of OpaqueClassifier.
+class OpaqueReconstructor : public core::Reconstructor {
+ public:
+  explicit OpaqueReconstructor(std::unique_ptr<core::Reconstructor> inner)
+      : inner_(std::move(inner)) {}
+  void fit(const la::Matrix& x_inv, const la::Matrix& x_var,
+           const std::vector<std::int64_t>& labels,
+           std::size_t num_classes) override {
+    inner_->fit(x_inv, x_var, labels, num_classes);
+  }
+  [[nodiscard]] la::Matrix reconstruct(const la::Matrix& x_inv) override {
+    return inner_->reconstruct(x_inv);
+  }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] bool healthy() const override { return inner_->healthy(); }
+
+ private:
+  std::unique_ptr<core::Reconstructor> inner_;
+};
+
+/// MLP classifier + CGAN; `opaque` wraps both so no stage compiles.
+core::FsGanPipeline make_pipeline(std::uint64_t seed, bool opaque = false) {
   models::NeuralOptions nopt;
   nopt.hidden = {16};
   nopt.epochs = 6;
@@ -380,21 +423,27 @@ core::FsGanPipeline make_pipeline(std::uint64_t seed) {
   core::PipelineOptions popt;
   popt.monte_carlo_m = 2;
   return core::FsGanPipeline(
-      [nopt](std::uint64_t s) {
-        return std::make_unique<models::MLPClassifier>(s, nopt);
+      [nopt, opaque](std::uint64_t s) -> std::unique_ptr<models::Classifier> {
+        auto mlp = std::make_unique<models::MLPClassifier>(s, nopt);
+        if (!opaque) return mlp;
+        return std::make_unique<OpaqueClassifier>(std::move(mlp));
       },
-      [gopt](std::size_t inv, std::size_t var, std::uint64_t s) {
-        return std::make_unique<core::ConditionalGAN>(inv, var, gopt, s);
+      [gopt, opaque](std::size_t inv, std::size_t var,
+                     std::uint64_t s) -> core::ReconstructorPtr {
+        auto gan = std::make_unique<core::ConditionalGAN>(inv, var, gopt, s);
+        if (!opaque) return gan;
+        return std::make_unique<OpaqueReconstructor>(std::move(gan));
       },
       popt, seed);
 }
 
 TEST(InferenceSessionTest, PackedPathMatchesLayerPath) {
+  // The reference pipeline serves the same trained models through the
+  // opaque stages, i.e. the models' own layer-API forwards.
   const data::Dataset source = make_source(100);
   const data::Dataset shots = make_target(200);
   core::FsGanPipeline packed = make_pipeline(9);
-  core::FsGanPipeline layered = make_pipeline(9);
-  layered.set_serving_plans_enabled(false);
+  core::FsGanPipeline layered = make_pipeline(9, /*opaque=*/true);
   packed.train(source, shots);
   layered.train(source, shots);
   ASSERT_TRUE(packed.serving_plans_active());
@@ -480,10 +529,13 @@ TEST(InferenceSessionTest, SerialAndThreadedMicroBatchesAgree) {
   serial.train(source, shots);
   ASSERT_TRUE(threaded.serving_plans_active());
   ASSERT_TRUE(serial.serving_plans_active());
-  serial.serving_session()->set_threading_enabled(false);
   const la::Matrix test = make_target(302).x;
   const la::Matrix p_threaded = threaded.predict_proba(test);
-  const la::Matrix p_serial = serial.predict_proba(test);
+  // Called from a pool worker, the session runs the batch inline.
+  const la::Matrix p_serial =
+      common::ThreadPool::global()
+          .submit([&] { return serial.predict_proba(test); })
+          .get();
   ASSERT_EQ(p_threaded.rows(), p_serial.rows());
   for (std::size_t r = 0; r < p_threaded.rows(); ++r) {
     for (std::size_t c = 0; c < p_threaded.cols(); ++c) {
@@ -515,9 +567,9 @@ TEST(InferenceSessionTest, RejectPolicyServesUniformOnPackedPath) {
   }
 }
 
-TEST(InferenceSessionTest, NonNeuralClassifierFallsBackTransparently) {
-  // A classifier without a compilable network: the pipeline must serve
-  // through the layer API with no session.
+TEST(InferenceSessionTest, NonNeuralClassifierServesThroughOpaqueStage) {
+  // A classifier without a compilable network: the session serves it
+  // through its opaque classifier stage.
   class Constant : public models::Classifier {
    public:
     void fit(const la::Matrix&, const std::vector<std::int64_t>&,

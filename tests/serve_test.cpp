@@ -1,9 +1,11 @@
 // Tests for the serving subsystem (src/serve/): the pure micro-batch
 // sizing policy against exact oracles, wire-format round-trips and
-// malformed-stream rejection, MPMC accounting on the sharded request
-// queue, daemon admission control (typed sheds) and the end-to-end
-// integration run with a mid-flight model hot-swap, and a Unix-socket
-// front-end smoke test.
+// malformed-stream rejection (including a seeded mutation fuzz), MPMC
+// accounting and the depth-ordering regression on the sharded request
+// queue, daemon admission control (typed sheds), the end-to-end
+// integration run with mid-flight model hot-swaps, serving and validating
+// generations whose session stages are all opaque (RF + VAE), and a
+// Unix-socket front-end smoke test.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,11 +21,13 @@
 #include <unistd.h>
 #include <vector>
 
+#include "baselines/ours.hpp"
 #include "common/rng.hpp"
 #include "core/cgan.hpp"
 #include "core/pipeline.hpp"
 #include "data/dataset.hpp"
 #include "la/matrix.hpp"
+#include "models/factory.hpp"
 #include "models/neural.hpp"
 #include "obs/slo.hpp"
 #include "serve/batch_policy.hpp"
@@ -212,6 +216,88 @@ TEST(WireTest, OversizedAndUndersizedBodiesPoisonTheReader) {
   }
 }
 
+TEST(WireTest, MutatedFramesYieldWellFormedFramesOrPoisonTheReader) {
+  // Deterministic mutation fuzzing over valid Predict and Ping frames:
+  // seeded byte flips, truncations, and false length fields.  Whatever the
+  // bytes, the reader either yields structurally valid frames (known type,
+  // payload within the cap, every consumed byte accounted for) or poisons
+  // itself and stays poisoned.
+  la::Matrix m(2, 3);
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    m.data()[i] = 0.5 * static_cast<double>(i);
+  }
+  std::vector<std::uint8_t> valid;
+  serve::append_matrix_frame(valid, FrameType::Predict, 11, m);
+  serve::append_empty_frame(valid, FrameType::Ping, 12);
+  serve::append_matrix_frame(valid, FrameType::Predict, 13, m);
+
+  common::Rng rng(0xF022);
+  std::size_t poisoned = 0;
+  std::size_t yielded = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    std::vector<std::uint8_t> buf = valid;
+    switch (iter % 3) {
+      case 0: {  // byte flips
+        const std::size_t flips = 1 + rng.uniform_index(4);
+        for (std::size_t f = 0; f < flips; ++f) {
+          buf[rng.uniform_index(buf.size())] ^=
+              static_cast<std::uint8_t>(1 + rng.uniform_index(255));
+        }
+        break;
+      }
+      case 1:  // truncation
+        buf.resize(rng.uniform_index(buf.size()));
+        break;
+      default: {  // a false length field on one of the three frames
+        const std::size_t starts[] = {0, 4 + 9 + 8 + 6 * sizeof(double),
+                                      2 * (4 + 9) + 8 + 6 * sizeof(double)};
+        const std::uint32_t lies[] = {
+            0, 8, 9, 10, static_cast<std::uint32_t>(rng.uniform_index(256)),
+            serve::kMaxFrameBody, serve::kMaxFrameBody + 1, 0xFFFFFFFFu};
+        const std::uint32_t lie = lies[rng.uniform_index(8)];
+        std::memcpy(buf.data() + starts[rng.uniform_index(3)], &lie, 4);
+        break;
+      }
+    }
+
+    FrameReader reader;
+    std::size_t consumed = 0;
+    std::size_t at = 0;
+    Frame frame;
+    while (at < buf.size() && !reader.bad()) {
+      const std::size_t n =
+          std::min(buf.size() - at, 1 + rng.uniform_index(16));
+      reader.feed(buf.data() + at, n);
+      at += n;
+      while (reader.next(frame)) {
+        ++yielded;
+        const auto type = static_cast<std::uint8_t>(frame.type);
+        ASSERT_GE(type, static_cast<std::uint8_t>(FrameType::Predict));
+        ASSERT_LE(type, static_cast<std::uint8_t>(FrameType::Shutdown));
+        ASSERT_LE(frame.payload.size() + 9, serve::kMaxFrameBody);
+        consumed += 4 + 9 + frame.payload.size();
+        la::Matrix decoded;
+        if (serve::decode_matrix_payload(frame, decoded)) {
+          ASSERT_EQ(8 + decoded.size() * sizeof(double),
+                    frame.payload.size());
+        }
+      }
+    }
+    if (reader.bad()) {
+      ++poisoned;
+      // A poisoned reader never yields again, whatever arrives next.
+      reader.feed(valid.data(), valid.size());
+      ASSERT_FALSE(reader.next(frame));
+      ASSERT_TRUE(reader.bad());
+    } else {
+      ASSERT_EQ(consumed + reader.buffered(), buf.size());
+    }
+  }
+  // The corpus reaches both outcomes.
+  EXPECT_GT(poisoned, 0u);
+  EXPECT_GT(yielded, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Sharded queue
 // ---------------------------------------------------------------------------
@@ -270,6 +356,45 @@ TEST(ShardedQueueTest, MpmcAccountingLosesAndDuplicatesNothing) {
   for (std::size_t i = 0; i < seen.size(); ++i) {
     ASSERT_EQ(seen[i].load(), 1) << "item " << i << " lost or duplicated";
   }
+  EXPECT_EQ(q.depth(), 0u);
+}
+
+TEST(ShardedQueueTest, DepthNeverExceedsItemsPushed) {
+  // Regression: depth must be counted before an item becomes poppable.
+  // Counted after, a consumer could take the item and subtract first, so
+  // the unsigned depth wrapped to ~2^64 and admission shed a valid request
+  // as queue-full.
+  constexpr int kPerProducer = 200000;
+  serve::ShardedQueue<int> q(4);
+  std::atomic<std::size_t> pushes_started{0};
+  std::atomic<int> producers_done{0};
+  std::atomic<std::size_t> violations{0};
+
+  std::vector<std::thread> threads;
+  for (int p = 0; p < 2; ++p) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        pushes_started.fetch_add(1);
+        q.push(i);
+      }
+      producers_done.fetch_add(1);
+    });
+  }
+  for (int c = 0; c < 2; ++c) {
+    threads.emplace_back([&] {
+      std::vector<int> got;
+      while (producers_done.load() < 2 || q.depth() > 0) {
+        got.clear();
+        q.try_pop(got, 1);
+        // Read depth first: pushes_started only grows, so a correct
+        // depth can never exceed the later count.
+        const std::size_t depth = q.depth();
+        if (depth > pushes_started.load()) violations.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(violations.load(), 0u);
   EXPECT_EQ(q.depth(), 0u);
 }
 
@@ -470,6 +595,9 @@ TEST(ServeDaemonTest, ShedsTypedSloWhenBurnRateCrossesThreshold) {
 
 TEST(ServeDaemonTest, ConcurrentClientsWithMidRunHotSwapSeeNoBadResponse) {
   core::FsGanPipeline pipeline = make_trained_pipeline(5);
+  // Two real generations to swap between: train's, then a re-adaptation.
+  pipeline.adapt_to_new_target(make_target(405));
+  ASSERT_EQ(pipeline.registry().active_id(), 2u);
   ASSERT_TRUE(pipeline.serving_plans_active());
   serve::ServeDaemon daemon(pipeline, {});
   daemon.start();
@@ -477,14 +605,19 @@ TEST(ServeDaemonTest, ConcurrentClientsWithMidRunHotSwapSeeNoBadResponse) {
   const la::Matrix test = make_target(305).x;
   constexpr std::size_t kClients = 4;
   constexpr std::size_t kRequestsPerClient = 120;
-  std::atomic<std::uint64_t> ok{0}, bad{0}, shed{0};
+  std::atomic<std::uint64_t> sent{0}, ok{0}, bad{0}, shed{0};
+  // Clients keep sending until the probe below has seen both generations,
+  // so daemon traffic spans the swaps.
+  std::atomic<bool> probe_done{false};
 
   std::vector<std::thread> clients;
   for (std::size_t t = 0; t < kClients; ++t) {
     clients.emplace_back([&, t] {
       SyncWaiter waiter;
       la::Matrix x(1 + t % 3, test.cols());  // mixed request sizes
-      for (std::size_t i = 0; i < kRequestsPerClient; ++i) {
+      for (std::size_t i = 0; i < kRequestsPerClient || !probe_done.load();
+           ++i) {
+        ++sent;
         for (std::size_t r = 0; r < x.rows(); ++r) {
           const std::size_t src = (t * 37 + i + r) % test.rows();
           for (std::size_t c = 0; c < test.cols(); ++c) {
@@ -506,32 +639,141 @@ TEST(ServeDaemonTest, ConcurrentClientsWithMidRunHotSwapSeeNoBadResponse) {
     });
   }
 
-  // Hot-swap publisher: re-publishing the active generation builds a fresh
-  // session each time; worker slots must rebind mid-stream with zero
-  // invalid responses.
+  // Hot-swapper: roll back and forth between the two generations; worker
+  // slots must rebind mid-stream with zero invalid responses.  A probe
+  // slot serving alongside the daemon records which generation served
+  // each of its calls.
   std::atomic<bool> stop_swapper{false};
   std::uint64_t swaps = 0;
   std::thread swapper([&] {
     while (!stop_swapper.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      pipeline.set_serving_plans_enabled(true);
-      ++swaps;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      if (pipeline.registry().rollback()) ++swaps;
     }
   });
+  std::set<std::uint64_t> served_ids;
+  {
+    auto probe = pipeline.create_serve_slot(0xb0beULL);
+    la::Matrix x(2, test.cols()), proba;
+    for (std::size_t r = 0; r < 2; ++r) {
+      for (std::size_t c = 0; c < test.cols(); ++c) x(r, c) = test(r, c);
+    }
+    for (int i = 0; i < 20000 && served_ids.size() < 2; ++i) {
+      pipeline.predict_proba_serve(x, proba, *probe);
+      EXPECT_TRUE(valid_distribution_rows(proba, 2, 3));
+      served_ids.insert(probe->generation_id());
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  }
+  probe_done.store(true);
   for (auto& t : clients) t.join();
   stop_swapper.store(true);
   swapper.join();
   daemon.stop();
 
   EXPECT_GE(swaps, 1u);
+  EXPECT_EQ(served_ids, (std::set<std::uint64_t>{1u, 2u}));
   EXPECT_EQ(bad.load(), 0u);
   EXPECT_EQ(shed.load(), 0u);  // closed loop never fills the default queue
-  EXPECT_EQ(ok.load(), kClients * kRequestsPerClient);
+  EXPECT_GE(sent.load(), kClients * kRequestsPerClient);
+  EXPECT_EQ(ok.load(), sent.load());
   const serve::ServeDaemon::Stats s = daemon.stats();
-  EXPECT_EQ(s.completed, kClients * kRequestsPerClient);
+  EXPECT_EQ(s.completed, sent.load());
   EXPECT_EQ(s.failed, 0u);
   EXPECT_GE(s.batches, 1u);
   EXPECT_GE(s.batched_rows, s.batches);
+}
+
+// ---------------------------------------------------------------------------
+// Opaque session stages: models without a compiled plan
+// ---------------------------------------------------------------------------
+
+/// Random forest + VAE: neither stage compiles, so every session stage is
+/// opaque and serializes on the pipeline's shared mutex.
+core::FsGanPipeline make_opaque_pipeline(std::uint64_t seed) {
+  core::PipelineOptions popt;
+  popt.monte_carlo_m = 2;
+  popt.validation_rows = 60;
+  core::FsGanPipeline pipeline(
+      models::make_classifier_factory("rf"),
+      baselines::make_reconstructor_factory(baselines::ReconKind::Vae,
+                                            baselines::ReconBudget::Quick),
+      popt, seed);
+  pipeline.train(make_source(100 + seed), make_target(200 + seed));
+  return pipeline;
+}
+
+TEST(OpaqueStageTest, DaemonServesRandomForestAndVaeFromFourWorkers) {
+  core::FsGanPipeline pipeline = make_opaque_pipeline(7);
+  ASSERT_FALSE(pipeline.serving_plans_active());
+  ASSERT_NE(pipeline.active_generation()->reconstructor, nullptr);
+  serve::ServeOptions opt;
+  opt.workers = 4;
+  serve::ServeDaemon daemon(pipeline, opt);
+  daemon.start();
+
+  const la::Matrix test = make_target(307).x;
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kRequestsPerClient = 60;
+  std::atomic<std::uint64_t> ok{0}, bad{0};
+  std::vector<std::thread> clients;
+  for (std::size_t t = 0; t < kClients; ++t) {
+    clients.emplace_back([&, t] {
+      SyncWaiter waiter;
+      la::Matrix x(1 + t % 3, test.cols());
+      for (std::size_t i = 0; i < kRequestsPerClient; ++i) {
+        for (std::size_t r = 0; r < x.rows(); ++r) {
+          for (std::size_t c = 0; c < test.cols(); ++c) {
+            x(r, c) = test((t * 31 + i + r) % test.rows(), c);
+          }
+        }
+        if (daemon.submit(x, i, waiter.callback()) != Admission::Accepted) {
+          ++bad;
+          continue;
+        }
+        const serve::ServeResult res = waiter.wait();
+        if (res.error == WireError::None &&
+            valid_distribution_rows(res.proba, x.rows(), 3)) {
+          ++ok;
+        } else {
+          ++bad;
+        }
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  daemon.stop();
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_EQ(ok.load(), kClients * kRequestsPerClient);
+  EXPECT_EQ(daemon.stats().failed, 0u);
+}
+
+TEST(OpaqueStageTest, ValidatesNonPlanCandidateWhileAnotherThreadServes) {
+  core::FsGanPipeline pipeline = make_opaque_pipeline(8);
+  const core::CandidateOutcome built = pipeline.build_candidate_generation(
+      make_target(408), pipeline.options().fs);
+  ASSERT_NE(built.generation, nullptr) << built.reason;
+  ASSERT_FALSE(built.generation->session->all_stages_compiled());
+
+  const la::Matrix test = make_target(308).x;
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> invalid{0};
+  std::thread server([&] {
+    la::Matrix proba;
+    while (!stop.load()) {
+      pipeline.predict_proba_into(test, proba);
+      if (!valid_distribution_rows(proba, test.rows(), 3)) ++invalid;
+    }
+  });
+  for (int i = 0; i < 5; ++i) {
+    const core::ValidationVerdict v =
+        pipeline.validate_generation(built.generation, {});
+    EXPECT_TRUE(v.ok) << v.reason;
+    EXPECT_GT(v.accuracy, 0.5);
+  }
+  stop.store(true);
+  server.join();
+  EXPECT_EQ(invalid.load(), 0u);
 }
 
 // ---------------------------------------------------------------------------

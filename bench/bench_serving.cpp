@@ -9,7 +9,9 @@
 //      batch=1 daemon (micro-batching disabled) and (b) the adaptive
 //      daemon.  Reports rows/sec and client-observed HDR latency
 //      quantiles; the adaptive daemon must reach >= 1.5x the batch=1
-//      throughput at saturation.
+//      throughput at saturation.  Sheds are tallied by admission reason;
+//      any queue_full shed fails the bench (clients with one request in
+//      flight each cannot fill the queue).
 //   2. open-loop overload -- a dispatcher offers requests at ~2x the
 //      measured adaptive capacity against a small admission queue.
 //      Reports offered/accepted/shed rates and the end-to-end latency of
@@ -61,9 +63,23 @@ constexpr double kSloTargetMs = 50.0;
 /// One closed-loop client's view of a finished run.
 struct ClientTally {
   std::uint64_t ok = 0;
-  std::uint64_t shed = 0;
+  std::uint64_t shed_queue_full = 0;
+  std::uint64_t shed_slo = 0;
+  std::uint64_t shed_shutting_down = 0;
   std::uint64_t failed = 0;   ///< typed error responses
   std::uint64_t invalid = 0;  ///< malformed successful responses
+
+  [[nodiscard]] std::uint64_t shed() const {
+    return shed_queue_full + shed_slo + shed_shutting_down;
+  }
+  void count_shed(serve::Admission reason) {
+    switch (reason) {
+      case serve::Admission::ShedQueueFull: ++shed_queue_full; break;
+      case serve::Admission::ShedSlo: ++shed_slo; break;
+      case serve::Admission::ShuttingDown: ++shed_shutting_down; break;
+      case serve::Admission::Accepted: break;
+    }
+  }
 };
 
 /// Validates one successful response: shape, finiteness, rows on the
@@ -132,7 +148,7 @@ ClosedLoopResult run_closed_loop(serve::ServeDaemon& daemon,
             });
         ++seq;
         if (verdict != serve::Admission::Accepted) {
-          ++tally.shed;
+          tally.count_shed(verdict);
           continue;
         }
         {
@@ -162,7 +178,9 @@ ClosedLoopResult run_closed_loop(serve::ServeDaemon& daemon,
   out.seconds = wall.seconds();
   for (const ClientTally& t : tallies) {
     out.tally.ok += t.ok;
-    out.tally.shed += t.shed;
+    out.tally.shed_queue_full += t.shed_queue_full;
+    out.tally.shed_slo += t.shed_slo;
+    out.tally.shed_shutting_down += t.shed_shutting_down;
     out.tally.failed += t.failed;
     out.tally.invalid += t.invalid;
   }
@@ -237,14 +255,25 @@ OverloadResult run_open_loop(serve::ServeDaemon& daemon, const la::Matrix& test,
   return out;
 }
 
+/// {"queue_full":..,"slo":..,"shutting_down":..} shed counts by reason.
+std::string shed_json(const ClientTally& t) {
+  return "{\"queue_full\":" + std::to_string(t.shed_queue_full) +
+         ",\"slo\":" + std::to_string(t.shed_slo) +
+         ",\"shutting_down\":" + std::to_string(t.shed_shutting_down) + "}";
+}
+
 void print_closed(const char* name, const ClosedLoopResult& r) {
   std::printf("%-12s %9.0f rows/s  %6.2f rows/batch  p50 %7.3f  p90 %7.3f  "
-              "p99 %7.3f  p999 %7.3f ms  (%llu ok, %llu shed, %llu failed, "
+              "p99 %7.3f  p999 %7.3f ms  (%llu ok, %llu shed [%llu "
+              "queue_full, %llu slo, %llu shutting_down], %llu failed, "
               "%llu invalid)\n",
               name, r.rows_per_sec, r.rows_per_batch, r.latency.p50_ms,
               r.latency.p90_ms, r.latency.p99_ms, r.latency.p999_ms,
               static_cast<unsigned long long>(r.tally.ok),
-              static_cast<unsigned long long>(r.tally.shed),
+              static_cast<unsigned long long>(r.tally.shed()),
+              static_cast<unsigned long long>(r.tally.shed_queue_full),
+              static_cast<unsigned long long>(r.tally.shed_slo),
+              static_cast<unsigned long long>(r.tally.shed_shutting_down),
               static_cast<unsigned long long>(r.tally.failed),
               static_cast<unsigned long long>(r.tally.invalid));
 }
@@ -392,9 +421,10 @@ int main() {
         "\"classes\":%zu,\"avx2\":%s,\"clients\":%zu,"
         "\"slo_target_ms\":%.1f,"
         "\"batch1\":{\"rows_per_sec\":%.1f,\"rows_per_batch\":%.2f,"
-        "\"p50_ms\":%.4f,\"p99_ms\":%.4f},"
+        "\"p50_ms\":%.4f,\"p99_ms\":%.4f,\"shed\":%s},"
         "\"adaptive\":{\"rows_per_sec\":%.1f,\"rows_per_batch\":%.2f,"
-        "\"p50_ms\":%.4f,\"p90_ms\":%.4f,\"p99_ms\":%.4f,\"p999_ms\":%.4f},"
+        "\"p50_ms\":%.4f,\"p90_ms\":%.4f,\"p99_ms\":%.4f,\"p999_ms\":%.4f,"
+        "\"shed\":%s},"
         "\"throughput_ratio\":%.3f,"
         "\"hot_swap\":{\"swaps\":%llu,\"served_generations\":%zu,"
         "\"failed\":%llu,\"invalid\":%llu},"
@@ -405,9 +435,11 @@ int main() {
         smoke ? "true" : "false", split.source_train.num_features(), classes,
         la::gemm_avx2_available() ? "true" : "false", clients, kSloTargetMs,
         batch1.rows_per_sec, batch1.rows_per_batch, batch1.latency.p50_ms,
-        batch1.latency.p99_ms, adaptive.rows_per_sec, adaptive.rows_per_batch,
+        batch1.latency.p99_ms, shed_json(batch1.tally).c_str(),
+        adaptive.rows_per_sec, adaptive.rows_per_batch,
         adaptive.latency.p50_ms, adaptive.latency.p90_ms,
-        adaptive.latency.p99_ms, adaptive.latency.p999_ms, ratio,
+        adaptive.latency.p99_ms, adaptive.latency.p999_ms,
+        shed_json(adaptive.tally).c_str(), ratio,
         static_cast<unsigned long long>(swaps), served_ids.size(),
         static_cast<unsigned long long>(adaptive.tally.failed),
         static_cast<unsigned long long>(adaptive.tally.invalid),
@@ -419,6 +451,20 @@ int main() {
         overload.admitted.p99_ms <= kSloTargetMs ? "true" : "false");
     out << line;
     std::printf("results written to %s\n", path.c_str());
+  }
+  // Each closed-loop client has at most one request in flight, so a
+  // handful of clients can never fill the admission queue: a queue_full
+  // shed there means admission miscounted queue depth.  SLO sheds stay
+  // reported only -- they depend on host speed (sanitizer builds run this
+  // same smoke).
+  const std::uint64_t closed_queue_full =
+      batch1.tally.shed_queue_full + adaptive.tally.shed_queue_full;
+  if (closed_queue_full > 0) {
+    std::fprintf(stderr, "bench_serving: %llu closed-loop queue_full sheds "
+                         "with %zu clients and a %zu-deep queue\n",
+                 static_cast<unsigned long long>(closed_queue_full), clients,
+                 serve::ServeOptions{}.max_queue_depth);
+    return 1;
   }
   if (swaps > 0 && served_ids.size() < 2) {
     std::fprintf(stderr, "bench_serving: %llu hot-swaps but the probe slot "

@@ -23,11 +23,9 @@ struct AutoencoderOptions {
   common::RetryPolicy retry;
   DivergenceMonitorOptions divergence;
   std::size_t snapshot_every = 10;
-  /// Data-parallel minibatch shards (nn/sharded.hpp): 1 = single shard
-  /// (exact legacy trajectory), 0 = auto, N = at most N shards.
+  /// Data-parallel minibatch shards (nn/sharded.hpp): 1 = one shard (the
+  /// master network trains directly), 0 = auto, N = at most N shards.
   std::size_t train_shards = 1;
-  /// Execute shards on the ThreadPool; serial is bitwise identical.
-  bool shard_threads = true;
 
   static AutoencoderOptions quick();
 };
@@ -70,7 +68,6 @@ class AutoencoderReconstructor : public Reconstructor {
   nn::Workspace ws_;
   la::Matrix inv_b_;
   la::Matrix var_b_;
-  la::Matrix loss_grad_;
 };
 
 }  // namespace fsda::core

@@ -7,11 +7,9 @@
 #include <numeric>
 
 #include "common/error.hpp"
-#include "common/stopwatch.hpp"
 #include "la/kernels.hpp"
 #include "la/view.hpp"
 #include "nn/activations.hpp"
-#include "nn/backend.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/dropout.hpp"
 #include "nn/linear.hpp"
@@ -19,9 +17,7 @@
 #include "nn/optimizer.hpp"
 #include "nn/parallel_sum.hpp"
 #include "nn/sharded.hpp"
-#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace fsda::core {
 
@@ -85,11 +81,8 @@ la::Matrix ConditionalGAN::one_hot(const std::vector<std::int64_t>& labels,
 void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
                          const std::vector<std::int64_t>& labels,
                          std::size_t num_classes) {
-  FSDA_SPAN("cgan.fit");
-  FSDA_EVENT_SCOPE(obs::EventCategory::Training, "cgan.fit");
-  common::Stopwatch fit_watch;
-  const double pack_seconds0 = nn::gemm_pack_seconds();
-  std::size_t step_count = 0;  // one D+G optimizer-step pair per batch
+  nn::FitTelemetry telemetry("cgan.fit", "cgan.epochs_total",
+                             "CGAN training epochs completed");
   const std::size_t n = x_inv.rows();
   FSDA_CHECK(x_var.rows() == n && labels.size() == n);
   FSDA_CHECK(x_inv.cols() == inv_dim_ && x_var.cols() == var_dim_);
@@ -99,8 +92,7 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
   // linear path captures the dominant linear structure of telemetry
   // conditionals immediately; the ReLU+BN trunk (CTGAN-style) learns the
   // nonlinear correction and the noise-driven spread.  Builders take the rng
-  // so the same architecture can be cloned for shard replicas; the master
-  // consumes init_rng in the exact pre-sharding order.
+  // so the same architecture can be cloned for shard replicas.
   const auto make_generator = [&](common::Rng& rng) {
     auto net = std::make_unique<nn::Sequential>();
     const std::size_t in = inv_dim_ + noise_dim_;
@@ -181,22 +173,6 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
   std::iota(order.begin(), order.end(), std::size_t{0});
   const std::size_t batch = std::min(options_.batch_size, n);
 
-  // Assembles [X_inv | var_block (| Y)] into the persistent d_in_ buffer
-  // through column-block views -- no temporaries.
-  const auto build_d_input = [&](const la::Matrix& var_block) -> la::Matrix& {
-    d_in_.resize(var_block.rows(), inv_dim_ + var_dim_ + label_dim);
-    la::MatrixView dv(d_in_);
-    la::copy_into(inv_b_, dv.col_block(0, inv_dim_));
-    la::copy_into(var_block, dv.col_block(inv_dim_, var_dim_));
-    if (options_.conditional) {
-      la::copy_into(y_b_, dv.col_block(inv_dim_ + var_dim_, label_dim));
-    }
-    return d_in_;
-  };
-
-  std::vector<double> ones;
-  std::vector<double> zeros;
-
   // Divergence recovery: both networks' parameters are snapshotted every
   // snapshot_every healthy epochs; a NaN/Inf or sustained-explosion epoch
   // rolls back to the last snapshot and retries the fit with a decayed
@@ -226,28 +202,18 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
     la::hcat_into(hold_inv, hold_noise, hold_in);
   }
 
-  // Hoisted once per fit; inc() per epoch is a gated atomic add.
-  obs::Counter& epochs_total = obs::MetricsRegistry::global().counter(
-      "cgan.epochs_total", "CGAN training epochs completed");
-  obs::HdrHistogram& epoch_ms = obs::MetricsRegistry::global().hdr(
-      "training.epoch_ms", obs::HdrOptions{},
-      "reconstructor training epoch wall time (ms), all model kinds");
-
-  // Deterministic data-parallel sharding (nn/sharded.hpp).  Each replica is
-  // an architecture clone with its own workspace, staging buffers, and
-  // dropout stream; parameter values are broadcast from the master before
-  // every shard pass (version-gated) and shard gradients fold back through a
-  // fixed pairwise tree, so serial and threaded shard execution are bitwise
-  // identical.  train_shards == 1 (the default) never builds replicas and
-  // runs the exact pre-sharding trajectory.
-  const std::vector<nn::Parameter*> g_params = generator_->parameters();
-  const std::vector<nn::Parameter*> d_params = discriminator_->parameters();
-  struct GanReplica {
-    std::unique_ptr<nn::Sequential> gen;
-    std::unique_ptr<nn::Sequential> dis;
-    std::vector<nn::Parameter*> g_params;
-    std::vector<nn::Parameter*> d_params;
-    nn::Workspace ws;
+  // Deterministic data-parallel sharding (nn/sharded.hpp): each step pair
+  // below is one shard body, run on the master networks for a one-shard
+  // batch and on per-shard replicas otherwise.  Every replica has its own
+  // workspace and dropout streams; scratch buffers are per shard.
+  constexpr std::size_t kGen = 0;
+  constexpr std::size_t kDis = 1;
+  nn::ShardedNets shards(
+      {generator_.get(), discriminator_.get()}, ws_, options_.train_shards,
+      batch, init_rng, [&](std::size_t net, common::Rng& rng) {
+        return net == kGen ? make_generator(rng) : make_discriminator(rng);
+      });
+  struct ShardScratch {
     la::Matrix g_in;
     la::Matrix d_in;
     la::Matrix var;
@@ -260,63 +226,24 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
     double g_adv = 0.0;
     double g_recon = 0.0;
   };
-  const std::size_t max_shards =
-      nn::resolve_shard_count(options_.train_shards, batch);
-  std::vector<std::unique_ptr<GanReplica>> replicas;
-  std::vector<std::vector<nn::Parameter*>> all_g_lists;
-  std::vector<std::vector<nn::Parameter*>> all_d_lists;
-  nn::GhostBatchNormSync g_bn_sync;
-  if (max_shards > 1) {
-    replicas.reserve(max_shards);
-    for (std::size_t r = 0; r < max_shards; ++r) {
-      // The replica rng seeds throwaway initial weights (broadcast always
-      // overwrites them) and, importantly, a per-replica dropout stream.
-      common::Rng rep_rng = init_rng.split(0xD15C0ULL + r);
-      auto rep = std::make_unique<GanReplica>();
-      rep->gen = make_generator(rep_rng);
-      rep->dis = make_discriminator(rep_rng);
-      rep->g_params = rep->gen->parameters();
-      rep->d_params = rep->dis->parameters();
-      replicas.push_back(std::move(rep));
-    }
-    std::vector<nn::Layer*> replica_gens;
-    for (const auto& rep : replicas) {
-      replica_gens.push_back(rep->gen.get());
-      all_g_lists.push_back(rep->g_params);
-      all_d_lists.push_back(rep->d_params);
-    }
-    g_bn_sync.bind(*generator_, replica_gens);
-  }
-  std::vector<nn::ShardRange> ranges;
-  // Assembles a replica's discriminator input from row blocks of the shared
-  // batch buffers plus the shard-local variant block.
-  const auto build_rep_d_input =
-      [&](GanReplica& rep, std::size_t row0, std::size_t mr,
-          la::ConstMatrixView var_block) -> la::Matrix& {
-    rep.d_in.resize(mr, inv_dim_ + var_dim_ + label_dim);
-    la::MatrixView dv(rep.d_in);
-    la::copy_into(la::ConstMatrixView(inv_b_).row_block(row0, mr),
+  std::vector<ShardScratch> scratch(shards.max_count());
+  // Assembles a shard's discriminator input [X_inv | var_block (| Y)] from
+  // row blocks of the batch buffers.
+  const auto build_d_input = [&](ShardScratch& sc, nn::ShardRange range,
+                                 la::ConstMatrixView var_block)
+      -> const la::Matrix& {
+    const std::size_t rows = range.second - range.first;
+    sc.d_in.resize(rows, inv_dim_ + var_dim_ + label_dim);
+    la::MatrixView dv(sc.d_in);
+    la::copy_into(la::ConstMatrixView(inv_b_).row_block(range.first, rows),
                   dv.col_block(0, inv_dim_));
     la::copy_into(var_block, dv.col_block(inv_dim_, var_dim_));
     if (options_.conditional) {
-      la::copy_into(la::ConstMatrixView(y_b_).row_block(row0, mr),
+      la::copy_into(la::ConstMatrixView(y_b_).row_block(range.first, rows),
                     dv.col_block(inv_dim_ + var_dim_, label_dim));
     }
-    return rep.d_in;
+    return sc.d_in;
   };
-  const auto reduce_active =
-      [](const std::vector<nn::Parameter*>& master,
-         const std::vector<std::vector<nn::Parameter*>>& all,
-         std::size_t shards) {
-        if (shards == all.size()) {
-          nn::reduce_shard_gradients(master, all);
-        } else {  // tail batch resolved to fewer shards
-          const std::vector<std::vector<nn::Parameter*>> active(
-              all.begin(),
-              all.begin() + static_cast<std::ptrdiff_t>(shards));
-          nn::reduce_shard_gradients(master, active);
-        }
-      };
 
   const auto run_attempt = [&] {
     const bool warm_attempt = warm_started_ && sentinel.health().retries == 0;
@@ -340,7 +267,7 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
     history_.clear();
     history_.reserve(attempt_epochs);
     for (std::size_t epoch = 0; epoch < attempt_epochs; ++epoch) {
-      common::Stopwatch epoch_watch;
+      telemetry.begin_epoch();
       rng_.shuffle(order);
       GanEpochStats stats;
       std::size_t batches = 0;
@@ -353,199 +280,102 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
         la::select_rows_into(x_inv, rows, inv_b_);
         la::select_rows_into(x_var, rows, var_b_);
         if (options_.conditional) la::select_rows_into(y_onehot, rows, y_b_);
+        const std::size_t count = shards.split(m);
+        // All randomness the shards consume (corruption, noise) is drawn on
+        // the master stream before they run, so shard execution order never
+        // touches shared rng state.  Per-shard losses and loss gradients are
+        // weighted by rows_s / rows, making the reduced gradient the
+        // full-batch mean-loss gradient.
 
-        const std::size_t shards =
-            replicas.empty()
-                ? 1
-                : std::min(nn::resolve_shard_count(options_.train_shards, m),
-                           replicas.size());
-        if (shards <= 1) {
-          ones.assign(m, 1.0);
-          zeros.assign(m, 0.0);
+        // ---- Discriminator step (eq. 8) ----
+        d_opt.zero_grad();
+        permute_corrupt_into(inv_b_, options_.input_corruption_p, rng_,
+                             corrupt_b_);
+        sample_noise_into(m, noise_b_);
+        la::hcat_into(corrupt_b_, noise_b_, g_in_);
+        shards.run([&](std::size_t s) {
+          ShardScratch& sc = scratch[s];
+          const nn::ShardRange range = shards.range(s);
+          const std::size_t rows = range.second - range.first;
+          const double w = shards.weight(s);
+          nn::Sequential& dis = shards.net(s, kDis);
+          nn::Workspace& ws = shards.workspace(s);
+          sc.ones.assign(rows, 1.0);
+          sc.zeros.assign(rows, 0.0);
+          const la::Matrix& real_prob = dis.forward(
+              build_d_input(
+                  sc, range,
+                  la::ConstMatrixView(var_b_).row_block(range.first, rows)),
+              /*training=*/true, ws);
+          const double real_loss =
+              nn::bce_on_probs_into(real_prob, sc.ones, sc.loss_grad);
+          sc.loss_grad *= w;
+          dis.backward(sc.loss_grad, ws);
+          const la::Matrix& fake = shards.net(s, kGen).forward(
+              nn::shard_rows(g_in_, range, sc.g_in), /*training=*/true, ws);
+          const la::Matrix& fake_prob = dis.forward(
+              build_d_input(sc, range, fake), /*training=*/true, ws);
+          const double fake_loss =
+              nn::bce_on_probs_into(fake_prob, sc.zeros, sc.loss_grad);
+          sc.loss_grad *= w;
+          dis.backward(sc.loss_grad, ws);
+          sc.d_loss = w * (real_loss + fake_loss);
+        });
+        shards.reduce(kDis);
+        d_opt.step();
+        for (std::size_t s = 0; s < count; ++s) stats.d_loss += scratch[s].d_loss;
 
-          // ---- Discriminator step (eq. 8) ----
-          d_opt.zero_grad();
-          {
-            const la::Matrix& real_prob = discriminator_->forward(
-                build_d_input(var_b_), /*training=*/true, ws_);
-            const double real_loss =
-                nn::bce_on_probs_into(real_prob, ones, loss_grad_);
-            discriminator_->backward(loss_grad_, ws_);
-
-            permute_corrupt_into(inv_b_, options_.input_corruption_p, rng_,
-                                 corrupt_b_);
-            sample_noise_into(m, noise_b_);
-            la::hcat_into(corrupt_b_, noise_b_, g_in_);
-            const la::Matrix& fake =
-                generator_->forward(g_in_, /*training=*/true, ws_);
-            const la::Matrix& fake_prob = discriminator_->forward(
-                build_d_input(fake), /*training=*/true, ws_);
-            const double fake_loss =
-                nn::bce_on_probs_into(fake_prob, zeros, loss_grad_);
-            discriminator_->backward(loss_grad_, ws_);
-            d_opt.step();
-            stats.d_loss += real_loss + fake_loss;
+        // ---- Generator step (eq. 9, non-saturating) ----
+        g_opt.zero_grad();
+        permute_corrupt_into(inv_b_, options_.input_corruption_p, rng_,
+                             corrupt_b_);
+        sample_noise_into(m, noise_b_);
+        la::hcat_into(corrupt_b_, noise_b_, g_in_);
+        shards.run([&](std::size_t s) {
+          ShardScratch& sc = scratch[s];
+          const nn::ShardRange range = shards.range(s);
+          const std::size_t rows = range.second - range.first;
+          const double w = shards.weight(s);
+          nn::Sequential& gen = shards.net(s, kGen);
+          nn::Sequential& dis = shards.net(s, kDis);
+          nn::Workspace& ws = shards.workspace(s);
+          sc.ones.assign(rows, 1.0);
+          const la::Matrix& fake = gen.forward(
+              nn::shard_rows(g_in_, range, sc.g_in), /*training=*/true, ws);
+          const la::Matrix& fake_prob = dis.forward(
+              build_d_input(sc, range, fake), /*training=*/true, ws);
+          const double adv_loss =
+              nn::bce_on_probs_into(fake_prob, sc.ones, sc.loss_grad);
+          sc.loss_grad *= w;
+          // Only dX of the discriminator is consumed here, so its weight
+          // gradients are not even computed.
+          ws.set_param_grads_enabled(false);
+          const la::Matrix& grad_d_input = dis.backward(sc.loss_grad, ws);
+          ws.set_param_grads_enabled(true);
+          // Slice the gradient w.r.t. the generated block out of the
+          // discriminator's input gradient.
+          sc.grad_fake.resize(rows, var_dim_);
+          la::copy_into(
+              la::ConstMatrixView(grad_d_input).col_block(inv_dim_, var_dim_),
+              sc.grad_fake);
+          double recon_value = 0.0;
+          if (options_.recon_weight > 0.0) {
+            recon_value = nn::mse_into(
+                fake, nn::shard_rows(var_b_, range, sc.var), sc.recon_grad);
+            sc.recon_grad *= options_.recon_weight * w;
+            sc.grad_fake += sc.recon_grad;
           }
-
-          // ---- Generator step (eq. 9, non-saturating) ----
-          g_opt.zero_grad();
-          // With the skip active, D's weight gradients are never touched
-          // here; otherwise they accumulate and are discarded by zeroing.
-          if (!options_.skip_d_grads_in_g_step) d_opt.zero_grad();
-          {
-            permute_corrupt_into(inv_b_, options_.input_corruption_p, rng_,
-                                 corrupt_b_);
-            sample_noise_into(m, noise_b_);
-            la::hcat_into(corrupt_b_, noise_b_, g_in_);
-            const la::Matrix& fake =
-                generator_->forward(g_in_, /*training=*/true, ws_);
-            const la::Matrix& fake_prob = discriminator_->forward(
-                build_d_input(fake), /*training=*/true, ws_);
-            const double adv_loss =
-                nn::bce_on_probs_into(fake_prob, ones, loss_grad_);
-            // Only dX of the discriminator is consumed below; its dW/db are
-            // skipped when the option allows (identical dX either way).
-            ws_.set_param_grads_enabled(!options_.skip_d_grads_in_g_step);
-            const la::Matrix& grad_d_input =
-                discriminator_->backward(loss_grad_, ws_);
-            ws_.set_param_grads_enabled(true);
-            // Slice the gradient w.r.t. the generated block out of the
-            // discriminator's input gradient.
-            grad_fake_.resize(m, var_dim_);
-            la::copy_into(la::ConstMatrixView(grad_d_input)
-                              .col_block(inv_dim_, var_dim_),
-                          grad_fake_);
-            double recon_value = 0.0;
-            if (options_.recon_weight > 0.0) {
-              recon_value = nn::mse_into(fake, var_b_, recon_grad_);
-              recon_grad_ *= options_.recon_weight;
-              grad_fake_ += recon_grad_;
-            }
-            generator_->backward(grad_fake_, ws_);
-            g_opt.step();
-            if (!options_.skip_d_grads_in_g_step) d_opt.zero_grad();
-            stats.g_adv_loss += adv_loss;
-            stats.g_recon_loss += recon_value;
-          }
-        } else {
-          // ---- Sharded D+G step pair ----
-          // All randomness the shards consume (corruption, noise, shard
-          // ranges) is pregenerated on the master stream; each shard then
-          // touches only its own replica, so pool execution is bitwise
-          // identical to a serial sweep.  Per-shard losses and loss
-          // gradients are weighted by rows_r / rows so the reduced gradient
-          // equals the full-batch mean-loss gradient.
-          ranges.clear();
-          for (std::size_t r = 0; r < shards; ++r) {
-            ranges.push_back(nn::shard_range(m, shards, r));
-          }
-          const double total_m = static_cast<double>(m);
-
-          // ---- Discriminator step (eq. 8) ----
-          d_opt.zero_grad();
-          permute_corrupt_into(inv_b_, options_.input_corruption_p, rng_,
-                               corrupt_b_);
-          sample_noise_into(m, noise_b_);
-          la::hcat_into(corrupt_b_, noise_b_, g_in_);
-          nn::run_sharded(shards, options_.shard_threads, [&](std::size_t r) {
-            GanReplica& rep = *replicas[r];
-            const std::size_t row0 = ranges[r].first;
-            const std::size_t mr = ranges[r].second - ranges[r].first;
-            const double w = static_cast<double>(mr) / total_m;
-            nn::broadcast_parameters(g_params, rep.g_params);
-            nn::broadcast_parameters(d_params, rep.d_params);
-            for (nn::Parameter* p : rep.d_params) p->grad.fill(0.0);
-            rep.ones.assign(mr, 1.0);
-            rep.zeros.assign(mr, 0.0);
-            const la::Matrix& real_prob = rep.dis->forward(
-                build_rep_d_input(
-                    rep, row0, mr,
-                    la::ConstMatrixView(var_b_).row_block(row0, mr)),
-                /*training=*/true, rep.ws);
-            const double real_loss =
-                nn::bce_on_probs_into(real_prob, rep.ones, rep.loss_grad);
-            rep.loss_grad *= w;
-            rep.dis->backward(rep.loss_grad, rep.ws);
-            rep.g_in.resize(mr, g_in_.cols());
-            la::copy_into(la::ConstMatrixView(g_in_).row_block(row0, mr),
-                          rep.g_in);
-            const la::Matrix& fake =
-                rep.gen->forward(rep.g_in, /*training=*/true, rep.ws);
-            const la::Matrix& fake_prob =
-                rep.dis->forward(build_rep_d_input(rep, row0, mr, fake),
-                                 /*training=*/true, rep.ws);
-            const double fake_loss =
-                nn::bce_on_probs_into(fake_prob, rep.zeros, rep.loss_grad);
-            rep.loss_grad *= w;
-            rep.dis->backward(rep.loss_grad, rep.ws);
-            rep.d_loss = w * (real_loss + fake_loss);
-          });
-          g_bn_sync.update(ranges);  // G ran a training forward per shard
-          reduce_active(d_params, all_d_lists, shards);
-          d_opt.step();
-          for (std::size_t r = 0; r < shards; ++r) {
-            stats.d_loss += replicas[r]->d_loss;
-          }
-
-          // ---- Generator step (eq. 9, non-saturating) ----
-          g_opt.zero_grad();
-          permute_corrupt_into(inv_b_, options_.input_corruption_p, rng_,
-                               corrupt_b_);
-          sample_noise_into(m, noise_b_);
-          la::hcat_into(corrupt_b_, noise_b_, g_in_);
-          nn::run_sharded(shards, options_.shard_threads, [&](std::size_t r) {
-            GanReplica& rep = *replicas[r];
-            const std::size_t row0 = ranges[r].first;
-            const std::size_t mr = ranges[r].second - ranges[r].first;
-            const double w = static_cast<double>(mr) / total_m;
-            nn::broadcast_parameters(g_params, rep.g_params);
-            nn::broadcast_parameters(d_params, rep.d_params);
-            for (nn::Parameter* p : rep.g_params) p->grad.fill(0.0);
-            rep.ones.assign(mr, 1.0);
-            rep.g_in.resize(mr, g_in_.cols());
-            la::copy_into(la::ConstMatrixView(g_in_).row_block(row0, mr),
-                          rep.g_in);
-            const la::Matrix& fake =
-                rep.gen->forward(rep.g_in, /*training=*/true, rep.ws);
-            const la::Matrix& fake_prob =
-                rep.dis->forward(build_rep_d_input(rep, row0, mr, fake),
-                                 /*training=*/true, rep.ws);
-            const double adv_loss =
-                nn::bce_on_probs_into(fake_prob, rep.ones, rep.loss_grad);
-            rep.loss_grad *= w;
-            // With the skip active the replica D's weight gradients are not
-            // even computed; otherwise they absorb (and discard) the G-step
-            // backward -- the next D step zeroes them before use either way.
-            rep.ws.set_param_grads_enabled(!options_.skip_d_grads_in_g_step);
-            const la::Matrix& grad_d_input =
-                rep.dis->backward(rep.loss_grad, rep.ws);
-            rep.ws.set_param_grads_enabled(true);
-            rep.grad_fake.resize(mr, var_dim_);
-            la::copy_into(la::ConstMatrixView(grad_d_input)
-                              .col_block(inv_dim_, var_dim_),
-                          rep.grad_fake);
-            double recon_value = 0.0;
-            if (options_.recon_weight > 0.0) {
-              rep.var.resize(mr, var_dim_);
-              la::copy_into(la::ConstMatrixView(var_b_).row_block(row0, mr),
-                            rep.var);
-              recon_value = nn::mse_into(fake, rep.var, rep.recon_grad);
-              rep.recon_grad *= options_.recon_weight * w;
-              rep.grad_fake += rep.recon_grad;
-            }
-            rep.gen->backward(rep.grad_fake, rep.ws);
-            rep.g_adv = w * adv_loss;
-            rep.g_recon = w * recon_value;
-          });
-          g_bn_sync.update(ranges);
-          reduce_active(g_params, all_g_lists, shards);
-          g_opt.step();
-          for (std::size_t r = 0; r < shards; ++r) {
-            stats.g_adv_loss += replicas[r]->g_adv;
-            stats.g_recon_loss += replicas[r]->g_recon;
-          }
+          gen.backward(sc.grad_fake, ws);
+          sc.g_adv = w * adv_loss;
+          sc.g_recon = w * recon_value;
+        });
+        shards.reduce(kGen);
+        g_opt.step();
+        for (std::size_t s = 0; s < count; ++s) {
+          stats.g_adv_loss += scratch[s].g_adv;
+          stats.g_recon_loss += scratch[s].g_recon;
         }
-        ++step_count;
+        telemetry.count_step();  // one D+G optimizer-step pair per batch
         ++batches;
       }
       if (batches > 0) {
@@ -554,8 +384,7 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
         stats.g_recon_loss /= static_cast<double>(batches);
       }
       history_.push_back(stats);
-      epochs_total.inc();
-      epoch_ms.record(epoch_watch.millis());
+      telemetry.end_epoch();
       if (sentinel.observe_epoch(
               epoch, stats.d_loss + stats.g_adv_loss + stats.g_recon_loss)) {
         return;  // diverged; parameters rolled back to last healthy snapshot
@@ -591,19 +420,7 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
                                     "epoch")
         .set(last.g_recon_loss);
   }
-  {
-    auto& registry = obs::MetricsRegistry::global();
-    const double fit_seconds = fit_watch.seconds();
-    registry
-        .gauge("training.steps_per_second",
-               "optimizer steps per second, last fit")
-        .set(fit_seconds > 0.0 ? static_cast<double>(step_count) / fit_seconds
-                               : 0.0);
-    registry
-        .gauge("training.gemm_pack_seconds",
-               "wall-clock seconds spent packing GEMM panels, last fit")
-        .set(nn::gemm_pack_seconds() - pack_seconds0);
-  }
+  telemetry.finish();
   fitted_ = true;
 }
 

@@ -53,20 +53,10 @@ struct CganOptions {
   DivergenceMonitorOptions divergence;
   /// Epochs between healthy-parameter snapshots (rollback granularity).
   std::size_t snapshot_every = 10;
-  /// Data-parallel minibatch shards (nn/sharded.hpp): 1 = single shard
-  /// (preserves the exact pre-sharding numeric trajectory), 0 = auto (one
-  /// shard per pool worker, each keeping >= 16 rows), N = at most N shards.
+  /// Data-parallel minibatch shards (nn/sharded.hpp): 1 = one shard (the
+  /// master networks train directly), 0 = auto (one shard per pool worker,
+  /// each keeping >= 16 rows), N = at most N shards.
   std::size_t train_shards = 1;
-  /// Execute shards on the global ThreadPool; serial execution of the same
-  /// shard count is bitwise identical (deterministic tree reduction).
-  bool shard_threads = true;
-  /// Skip accumulating discriminator weight gradients during the generator
-  /// step: only the gradient w.r.t. D's *input* is consumed there, and the
-  /// weight gradients were discarded (zeroed before the next D step) anyway.
-  /// Spares one dW GEMM + bias reduction per discriminator layer per step
-  /// with a bit-identical training trajectory; false reproduces the old
-  /// schedule exactly (parity test hook).
-  bool skip_d_grads_in_g_step = true;
   /// Epoch budget for a warm-started fit (warm_start_from); 0 = auto
   /// (max(epochs / 4, min(epochs, 8))).  Cold fits always run `epochs`.
   std::size_t warm_epochs = 0;
@@ -171,7 +161,8 @@ class ConditionalGAN : public Reconstructor {
   bool warm_started_ = false;
 
   // Training workspace and persistent mini-batch buffers: capacities are
-  // reused across batches/epochs so the steady-state step allocates nothing.
+  // reused across batches/epochs so the steady-state step allocates nothing
+  // (per-shard scratch lives in fit()).
   nn::Workspace ws_;
   la::Matrix inv_b_;
   la::Matrix var_b_;
@@ -179,10 +170,6 @@ class ConditionalGAN : public Reconstructor {
   la::Matrix corrupt_b_;
   la::Matrix noise_b_;
   la::Matrix g_in_;
-  la::Matrix d_in_;
-  la::Matrix loss_grad_;
-  la::Matrix grad_fake_;
-  la::Matrix recon_grad_;
 };
 
 }  // namespace fsda::core

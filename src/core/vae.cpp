@@ -6,19 +6,14 @@
 #include <numeric>
 
 #include "common/error.hpp"
-#include "common/stopwatch.hpp"
 #include "la/kernels.hpp"
-#include "la/view.hpp"
 #include "nn/activations.hpp"
-#include "nn/backend.hpp"
 #include "nn/linear.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/parallel_sum.hpp"
 #include "nn/sharded.hpp"
-#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace fsda::core {
 
@@ -50,18 +45,15 @@ VaeReconstructor::VaeReconstructor(std::size_t inv_dim, std::size_t var_dim,
 void VaeReconstructor::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
                            const std::vector<std::int64_t>& /*labels*/,
                            std::size_t /*num_classes*/) {
-  FSDA_SPAN("vae.fit");
-  FSDA_EVENT_SCOPE(obs::EventCategory::Training, "vae.fit");
-  common::Stopwatch fit_watch;
-  const double pack_seconds0 = nn::gemm_pack_seconds();
-  std::size_t step_count = 0;
+  nn::FitTelemetry telemetry("vae.fit", "vae.epochs_total",
+                             "VAE training epochs completed");
   const std::size_t n = x_inv.rows();
   FSDA_CHECK(x_var.rows() == n);
   FSDA_CHECK(x_inv.cols() == inv_dim_ && x_var.cols() == var_dim_);
 
   common::Rng init_rng = rng_.split(0x1A7EULL);
   // Builders take the rng so the same architecture can be cloned for shard
-  // replicas; the master consumes init_rng in the exact pre-sharding order.
+  // replicas.
   const auto make_encoder = [&](common::Rng& rng) {
     auto net = std::make_unique<nn::Sequential>();
     std::size_t width = inv_dim_ + var_dim_;
@@ -104,53 +96,30 @@ void VaeReconstructor::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
 
   TrainingSentinel sentinel(params, options_.retry, options_.divergence,
                             options_.snapshot_every);
-  obs::Counter& epochs_total = obs::MetricsRegistry::global().counter(
-      "vae.epochs_total", "VAE training epochs completed");
-  obs::HdrHistogram& epoch_ms = obs::MetricsRegistry::global().hdr(
-      "training.epoch_ms", obs::HdrOptions{},
-      "reconstructor training epoch wall time (ms), all model kinds");
 
-  // Deterministic data-parallel sharding (nn/sharded.hpp): replicas are
-  // architecture clones with their own workspaces and staging buffers;
-  // values broadcast from the master (version-gated), gradients reduced
-  // through a fixed pairwise tree.  train_shards == 1 (default) keeps the
-  // exact pre-sharding trajectory.
-  struct VaeReplica {
-    std::unique_ptr<nn::Sequential> enc;
-    std::unique_ptr<nn::Sequential> dec;
-    std::vector<nn::Parameter*> params;  // encoder then decoder, master order
-    nn::Workspace ws;
+  // Deterministic data-parallel sharding (nn/sharded.hpp); see core/cgan.cpp.
+  constexpr std::size_t kEnc = 0;
+  constexpr std::size_t kDec = 1;
+  nn::ShardedNets shards(
+      {encoder_.get(), decoder_.get()}, ws_, options_.train_shards, batch,
+      init_rng, [&](std::size_t net, common::Rng& rng) {
+        return net == kEnc ? make_encoder(rng) : make_decoder(rng);
+      });
+  struct ShardScratch {
     la::Matrix inv;
     la::Matrix var;
+    la::Matrix eps;
     la::Matrix enc_in;
     la::Matrix dec_in;
     la::Matrix mu;
     la::Matrix log_var;
-    la::Matrix eps;
     la::Matrix z;
     la::Matrix recon_grad;
     la::Matrix grad_enc_out;
     nn::KlResult kl;
     double loss = 0.0;
   };
-  const std::size_t max_shards =
-      nn::resolve_shard_count(options_.train_shards, batch);
-  std::vector<std::unique_ptr<VaeReplica>> replicas;
-  std::vector<std::vector<nn::Parameter*>> all_lists;
-  if (max_shards > 1) {
-    replicas.reserve(max_shards);
-    for (std::size_t r = 0; r < max_shards; ++r) {
-      common::Rng rep_rng = init_rng.split(0xD15C0ULL + r);
-      auto rep = std::make_unique<VaeReplica>();
-      rep->enc = make_encoder(rep_rng);
-      rep->dec = make_decoder(rep_rng);
-      rep->params = rep->enc->parameters();
-      for (nn::Parameter* p : rep->dec->parameters()) rep->params.push_back(p);
-      all_lists.push_back(rep->params);
-      replicas.push_back(std::move(rep));
-    }
-  }
-  std::vector<nn::ShardRange> ranges;
+  std::vector<ShardScratch> scratch(shards.max_count());
 
   const auto run_attempt = [&] {
     if (sentinel.health().retries > 0) rng_ = rng_.split(sentinel.seed_salt());
@@ -158,7 +127,7 @@ void VaeReconstructor::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
                        0.9, 0.999, 1e-8, options_.weight_decay);
 
     for (std::size_t epoch = 0; epoch < options_.epochs; ++epoch) {
-      common::Stopwatch epoch_watch;
+      telemetry.begin_epoch();
       rng_.shuffle(order);
       double epoch_loss = 0.0;
       std::size_t batches = 0;
@@ -171,157 +140,83 @@ void VaeReconstructor::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
         la::select_rows_into(x_var, rows, var_b_);
 
         optimizer.zero_grad();
-        const std::size_t shards =
-            replicas.empty()
-                ? 1
-                : std::min(nn::resolve_shard_count(options_.train_shards, m),
-                           replicas.size());
-        if (shards <= 1) {
+        const std::size_t count = shards.split(m);
+        // The reparameterization noise for the whole batch is drawn from the
+        // master stream before the shards run; per-shard losses and loss
+        // gradients are weighted by rows_s / rows, making the reduced
+        // gradient the full-batch mean-loss gradient.
+        eps_.resize(m, latent_dim_);
+        for (auto& v : eps_.data()) v = rng_.normal();
+        shards.run([&](std::size_t s) {
+          ShardScratch& sc = scratch[s];
+          const nn::ShardRange range = shards.range(s);
+          const std::size_t rows = range.second - range.first;
+          const double w = shards.weight(s);
+          nn::Sequential& enc = shards.net(s, kEnc);
+          nn::Sequential& dec = shards.net(s, kDec);
+          nn::Workspace& ws = shards.workspace(s);
+          const la::Matrix& inv = nn::shard_rows(inv_b_, range, sc.inv);
+          const la::Matrix& var = nn::shard_rows(var_b_, range, sc.var);
+          const la::Matrix& eps = nn::shard_rows(eps_, range, sc.eps);
+
           // Encode: split encoder output into mu | log_var.
-          la::hcat_into(inv_b_, var_b_, enc_in_);
+          la::hcat_into(inv, var, sc.enc_in);
           const la::Matrix& enc_out =
-              encoder_->forward(enc_in_, /*training=*/true, ws_);
-          mu_.resize(m, latent_dim_);
-          log_var_.resize(m, latent_dim_);
-          for (std::size_t r = 0; r < m; ++r) {
+              enc.forward(sc.enc_in, /*training=*/true, ws);
+          sc.mu.resize(rows, latent_dim_);
+          sc.log_var.resize(rows, latent_dim_);
+          for (std::size_t r = 0; r < rows; ++r) {
             for (std::size_t c = 0; c < latent_dim_; ++c) {
-              mu_(r, c) = enc_out(r, c);
+              sc.mu(r, c) = enc_out(r, c);
               // Clamp log-variance for numerical safety.
-              log_var_(r, c) =
+              sc.log_var(r, c) =
                   std::clamp(enc_out(r, latent_dim_ + c), -8.0, 8.0);
             }
           }
 
           // Reparameterize: z = mu + exp(log_var / 2) * eps.
-          eps_.resize(m, latent_dim_);
-          for (auto& v : eps_.data()) v = rng_.normal();
-          z_.resize(m, latent_dim_);
-          for (std::size_t r = 0; r < m; ++r) {
+          sc.z.resize(rows, latent_dim_);
+          for (std::size_t r = 0; r < rows; ++r) {
             for (std::size_t c = 0; c < latent_dim_; ++c) {
-              z_(r, c) =
-                  mu_(r, c) + std::exp(0.5 * log_var_(r, c)) * eps_(r, c);
+              sc.z(r, c) =
+                  sc.mu(r, c) + std::exp(0.5 * sc.log_var(r, c)) * eps(r, c);
             }
           }
 
           // Decode and compute losses.
-          la::hcat_into(inv_b_, z_, dec_in_);
+          la::hcat_into(inv, sc.z, sc.dec_in);
           const la::Matrix& recon =
-              decoder_->forward(dec_in_, /*training=*/true, ws_);
-          const double rec_value = nn::mse_into(recon, var_b_, recon_grad_);
-          nn::gaussian_kl_into(mu_, log_var_, kl_);
-          epoch_loss += rec_value + options_.kl_weight * kl_.value;
+              dec.forward(sc.dec_in, /*training=*/true, ws);
+          const double rec_value = nn::mse_into(recon, var, sc.recon_grad);
+          nn::gaussian_kl_into(sc.mu, sc.log_var, sc.kl);
+          sc.loss = w * (rec_value + options_.kl_weight * sc.kl.value);
 
           // Backprop: decoder -> z -> (mu, log_var) -> encoder.
-          const la::Matrix& grad_dec_in = decoder_->backward(recon_grad_, ws_);
-          grad_enc_out_.resize(m, 2 * latent_dim_);
-          for (std::size_t r = 0; r < m; ++r) {
+          sc.recon_grad *= w;
+          const la::Matrix& grad_dec_in = dec.backward(sc.recon_grad, ws);
+          sc.grad_enc_out.resize(rows, 2 * latent_dim_);
+          const double klw = options_.kl_weight * w;
+          for (std::size_t r = 0; r < rows; ++r) {
             for (std::size_t c = 0; c < latent_dim_; ++c) {
               const double gz = grad_dec_in(r, inv_dim_ + c);
-              const double sigma = std::exp(0.5 * log_var_(r, c));
-              grad_enc_out_(r, c) =
-                  gz + options_.kl_weight * kl_.grad_mu(r, c);
-              grad_enc_out_(r, latent_dim_ + c) =
-                  gz * eps_(r, c) * 0.5 * sigma +
-                  options_.kl_weight * kl_.grad_log_var(r, c);
+              const double sigma = std::exp(0.5 * sc.log_var(r, c));
+              sc.grad_enc_out(r, c) = gz + klw * sc.kl.grad_mu(r, c);
+              sc.grad_enc_out(r, latent_dim_ + c) =
+                  gz * eps(r, c) * 0.5 * sigma + klw * sc.kl.grad_log_var(r, c);
             }
           }
-          encoder_->backward(grad_enc_out_, ws_);
-        } else {
-          // ---- Sharded step ----
-          // The reparameterization noise for the whole batch is drawn from
-          // the master stream before the shards run, so shard execution
-          // order never touches shared rng state; per-shard losses and loss
-          // gradients are weighted by rows_r / rows, making the reduced
-          // gradient the full-batch mean-loss gradient.
-          eps_.resize(m, latent_dim_);
-          for (auto& v : eps_.data()) v = rng_.normal();
-          ranges.clear();
-          for (std::size_t r = 0; r < shards; ++r) {
-            ranges.push_back(nn::shard_range(m, shards, r));
-          }
-          const double total_m = static_cast<double>(m);
-          nn::run_sharded(shards, options_.shard_threads, [&](std::size_t s) {
-            VaeReplica& rep = *replicas[s];
-            const std::size_t row0 = ranges[s].first;
-            const std::size_t mr = ranges[s].second - ranges[s].first;
-            const double w = static_cast<double>(mr) / total_m;
-            nn::broadcast_parameters(params, rep.params);
-            for (nn::Parameter* p : rep.params) p->grad.fill(0.0);
-            rep.inv.resize(mr, inv_dim_);
-            rep.var.resize(mr, var_dim_);
-            rep.eps.resize(mr, latent_dim_);
-            la::copy_into(la::ConstMatrixView(inv_b_).row_block(row0, mr),
-                          rep.inv);
-            la::copy_into(la::ConstMatrixView(var_b_).row_block(row0, mr),
-                          rep.var);
-            la::copy_into(la::ConstMatrixView(eps_).row_block(row0, mr),
-                          rep.eps);
-
-            la::hcat_into(rep.inv, rep.var, rep.enc_in);
-            const la::Matrix& enc_out =
-                rep.enc->forward(rep.enc_in, /*training=*/true, rep.ws);
-            rep.mu.resize(mr, latent_dim_);
-            rep.log_var.resize(mr, latent_dim_);
-            for (std::size_t r = 0; r < mr; ++r) {
-              for (std::size_t c = 0; c < latent_dim_; ++c) {
-                rep.mu(r, c) = enc_out(r, c);
-                rep.log_var(r, c) =
-                    std::clamp(enc_out(r, latent_dim_ + c), -8.0, 8.0);
-              }
-            }
-            rep.z.resize(mr, latent_dim_);
-            for (std::size_t r = 0; r < mr; ++r) {
-              for (std::size_t c = 0; c < latent_dim_; ++c) {
-                rep.z(r, c) = rep.mu(r, c) +
-                              std::exp(0.5 * rep.log_var(r, c)) * rep.eps(r, c);
-              }
-            }
-
-            la::hcat_into(rep.inv, rep.z, rep.dec_in);
-            const la::Matrix& recon =
-                rep.dec->forward(rep.dec_in, /*training=*/true, rep.ws);
-            const double rec_value = nn::mse_into(recon, rep.var,
-                                                  rep.recon_grad);
-            nn::gaussian_kl_into(rep.mu, rep.log_var, rep.kl);
-            rep.loss = w * (rec_value + options_.kl_weight * rep.kl.value);
-
-            rep.recon_grad *= w;
-            const la::Matrix& grad_dec_in =
-                rep.dec->backward(rep.recon_grad, rep.ws);
-            rep.grad_enc_out.resize(mr, 2 * latent_dim_);
-            const double klw = options_.kl_weight * w;
-            for (std::size_t r = 0; r < mr; ++r) {
-              for (std::size_t c = 0; c < latent_dim_; ++c) {
-                const double gz = grad_dec_in(r, inv_dim_ + c);
-                const double sigma = std::exp(0.5 * rep.log_var(r, c));
-                rep.grad_enc_out(r, c) = gz + klw * rep.kl.grad_mu(r, c);
-                rep.grad_enc_out(r, latent_dim_ + c) =
-                    gz * rep.eps(r, c) * 0.5 * sigma +
-                    klw * rep.kl.grad_log_var(r, c);
-              }
-            }
-            rep.enc->backward(rep.grad_enc_out, rep.ws);
-          });
-          if (shards == all_lists.size()) {
-            nn::reduce_shard_gradients(params, all_lists);
-          } else {  // tail batch resolved to fewer shards
-            const std::vector<std::vector<nn::Parameter*>> active(
-                all_lists.begin(),
-                all_lists.begin() + static_cast<std::ptrdiff_t>(shards));
-            nn::reduce_shard_gradients(params, active);
-          }
-          for (std::size_t s = 0; s < shards; ++s) {
-            epoch_loss += replicas[s]->loss;
-          }
-        }
+          enc.backward(sc.grad_enc_out, ws);
+        });
+        shards.reduce(kEnc);
+        shards.reduce(kDec);
+        for (std::size_t s = 0; s < count; ++s) epoch_loss += scratch[s].loss;
         optimizer.step();
-        ++step_count;
+        telemetry.count_step();
         ++batches;
       }
       last_loss_ = epoch_loss / static_cast<double>(std::max<std::size_t>(
                                     1, batches));
-      epochs_total.inc();
-      epoch_ms.record(epoch_watch.millis());
+      telemetry.end_epoch();
       if (sentinel.observe_epoch(epoch, last_loss_)) return;  // diverged
     }
   };
@@ -330,21 +225,10 @@ void VaeReconstructor::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
     run_attempt();
   } while (sentinel.retry_after_divergence());
   train_health_ = sentinel.health();
-  {
-    auto& registry = obs::MetricsRegistry::global();
-    registry.gauge("vae.loss", "mean epoch loss of the last VAE epoch")
-        .set(last_loss_);
-    const double fit_seconds = fit_watch.seconds();
-    registry
-        .gauge("training.steps_per_second",
-               "optimizer steps per second, last fit")
-        .set(fit_seconds > 0.0 ? static_cast<double>(step_count) / fit_seconds
-                               : 0.0);
-    registry
-        .gauge("training.gemm_pack_seconds",
-               "wall-clock seconds spent packing GEMM panels, last fit")
-        .set(nn::gemm_pack_seconds() - pack_seconds0);
-  }
+  obs::MetricsRegistry::global()
+      .gauge("vae.loss", "mean epoch loss of the last VAE epoch")
+      .set(last_loss_);
+  telemetry.finish();
   fitted_ = true;
 }
 

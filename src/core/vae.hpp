@@ -12,7 +12,6 @@
 #include "common/rng.hpp"
 #include "core/health.hpp"
 #include "core/reconstructor.hpp"
-#include "nn/loss.hpp"
 #include "nn/sequential.hpp"
 #include "nn/workspace.hpp"
 
@@ -31,11 +30,9 @@ struct VaeOptions {
   common::RetryPolicy retry;
   DivergenceMonitorOptions divergence;
   std::size_t snapshot_every = 10;
-  /// Data-parallel minibatch shards (nn/sharded.hpp): 1 = single shard
-  /// (exact legacy trajectory), 0 = auto, N = at most N shards.
+  /// Data-parallel minibatch shards (nn/sharded.hpp): 1 = one shard (the
+  /// master networks train directly), 0 = auto, N = at most N shards.
   std::size_t train_shards = 1;
-  /// Execute shards on the ThreadPool; serial is bitwise identical.
-  bool shard_threads = true;
 
   static VaeOptions quick();
 };
@@ -80,15 +77,9 @@ class VaeReconstructor : public Reconstructor {
   nn::Workspace ws_;
   la::Matrix inv_b_;
   la::Matrix var_b_;
-  la::Matrix enc_in_;
-  la::Matrix dec_in_;
-  la::Matrix mu_;
-  la::Matrix log_var_;
   la::Matrix eps_;
+  la::Matrix dec_in_;  // reconstruct()'s staging buffers
   la::Matrix z_;
-  la::Matrix recon_grad_;
-  la::Matrix grad_enc_out_;
-  nn::KlResult kl_;
 };
 
 }  // namespace fsda::core

@@ -5,176 +5,230 @@
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "la/kernels.hpp"
+#include "la/view.hpp"
 #include "nn/batchnorm.hpp"
-#include "nn/dropout.hpp"
 
 namespace fsda::nn {
 
-std::size_t resolve_shard_count(std::size_t requested, std::size_t rows,
-                                std::size_t min_rows_per_shard) {
-  std::size_t count =
+namespace {
+
+constexpr std::size_t kMinRowsPerShard = 16;  // BN statistics degrade below
+
+std::size_t resolve_shard_count(std::size_t requested, std::size_t rows) {
+  const std::size_t count =
       requested == 0 ? common::ThreadPool::global().size() : requested;
-  if (min_rows_per_shard > 0) {
-    count = std::min(count, rows / min_rows_per_shard);
-  }
-  return std::max<std::size_t>(count, 1);
+  return std::max<std::size_t>(std::min(count, rows / kMinRowsPerShard), 1);
 }
 
+// Balanced: the first rows % count shards get one extra row.
 ShardRange shard_range(std::size_t rows, std::size_t count,
                        std::size_t shard) {
-  FSDA_CHECK_MSG(count > 0 && shard < count, "shard index out of range");
   const std::size_t base = rows / count;
   const std::size_t rem = rows % count;
-  const std::size_t begin =
-      shard * base + std::min<std::size_t>(shard, rem);
-  const std::size_t len = base + (shard < rem ? 1 : 0);
-  return {begin, begin + len};
+  const std::size_t begin = shard * base + std::min(shard, rem);
+  return {begin, begin + base + (shard < rem ? 1 : 0)};
 }
 
-void run_sharded(std::size_t count, bool parallel,
-                 const std::function<void(std::size_t)>& fn) {
-  if (count == 1) {
+// Copies master parameter values into a replica, skipping parameters whose
+// version the replica already holds (replicas never step, so a matching
+// version means a matching value).
+void broadcast_parameters(const std::vector<Parameter*>& master,
+                          const std::vector<Parameter*>& replica) {
+  for (std::size_t i = 0; i < master.size(); ++i) {
+    if (replica[i]->version == master[i]->version) continue;
+    la::copy_into(master[i]->value, replica[i]->value);
+    replica[i]->version = master[i]->version;
+  }
+}
+
+void collect_batch_norms(Layer& layer, std::vector<BatchNorm1d*>& out) {
+  if (auto* bn = dynamic_cast<BatchNorm1d*>(&layer)) out.push_back(bn);
+  layer.for_each_child(
+      [&out](Layer& child) { collect_batch_norms(child, out); });
+}
+
+}  // namespace
+
+const la::Matrix& shard_rows(const la::Matrix& src, ShardRange range,
+                             la::Matrix& scratch) {
+  if (range.first == 0 && range.second == src.rows()) return src;
+  const std::size_t rows = range.second - range.first;
+  scratch.resize(rows, src.cols());
+  la::copy_into(la::ConstMatrixView(src).row_block(range.first, rows),
+                scratch);
+  return scratch;
+}
+
+ShardedNets::ShardedNets(std::vector<Sequential*> master,
+                         Workspace& master_ws, std::size_t requested,
+                         std::size_t batch_rows, common::Rng& init_rng,
+                         const Builder& build)
+    : master_(std::move(master)),
+      master_ws_(master_ws),
+      requested_(requested) {
+  for (Sequential* net : master_) master_params_.push_back(net->parameters());
+  const std::size_t max_shards = resolve_shard_count(requested, batch_rows);
+  if (max_shards <= 1) return;
+  for (std::size_t r = 0; r < max_shards; ++r) {
+    // The replica rng seeds throwaway initial weights (the broadcast
+    // overwrites them) and the replica's own dropout streams.
+    common::Rng rng = init_rng.split(0xD15C0ULL + r);
+    auto replica = std::make_unique<Replica>();
+    for (std::size_t i = 0; i < master_.size(); ++i) {
+      replica->nets.push_back(build(i, rng));
+      replica->params.push_back(replica->nets.back()->parameters());
+      FSDA_CHECK_MSG(replica->params.back().size() == master_params_[i].size(),
+                     "replica and master parameter counts differ");
+    }
+    replicas_.push_back(std::move(replica));
+  }
+  for (std::size_t i = 0; i < master_.size(); ++i) {
+    std::vector<BatchNorm1d*> master_bns;
+    collect_batch_norms(*master_[i], master_bns);
+    const std::size_t first = batch_norms_.size();
+    for (BatchNorm1d* bn : master_bns) batch_norms_.push_back({bn, {}});
+    for (const auto& replica : replicas_) {
+      std::vector<BatchNorm1d*> bns;
+      collect_batch_norms(*replica->nets[i], bns);
+      FSDA_CHECK_MSG(bns.size() == master_bns.size(),
+                     "replica and master BatchNorm layers differ");
+      for (std::size_t b = 0; b < bns.size(); ++b) {
+        batch_norms_[first + b].replicas.push_back(bns[b]);
+      }
+    }
+  }
+}
+
+std::size_t ShardedNets::split(std::size_t rows) {
+  const std::size_t count =
+      replicas_.empty()
+          ? 1
+          : std::min(resolve_shard_count(requested_, rows), replicas_.size());
+  ranges_.clear();
+  for (std::size_t s = 0; s < count; ++s) {
+    ranges_.push_back(shard_range(rows, count, s));
+  }
+  rows_ = rows;
+  return count;
+}
+
+double ShardedNets::weight(std::size_t shard) const {
+  return static_cast<double>(ranges_[shard].second - ranges_[shard].first) /
+         static_cast<double>(rows_);
+}
+
+Sequential& ShardedNets::net(std::size_t shard, std::size_t index) {
+  return count() == 1 ? *master_[index] : *replicas_[shard]->nets[index];
+}
+
+Workspace& ShardedNets::workspace(std::size_t shard) {
+  return count() == 1 ? master_ws_ : replicas_[shard]->ws;
+}
+
+void ShardedNets::run(const std::function<void(std::size_t)>& fn) {
+  if (count() == 1) {
     fn(0);
     return;
   }
-  if (parallel) {
-    common::parallel_for(count, fn);
-  } else {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-  }
-}
-
-void broadcast_parameters(const std::vector<Parameter*>& master,
-                          const std::vector<Parameter*>& replica) {
-  FSDA_CHECK_MSG(master.size() == replica.size(),
-                 "broadcast: replica has " << replica.size()
-                                           << " parameters, master "
-                                           << master.size());
-  for (std::size_t i = 0; i < master.size(); ++i) {
-    const Parameter& m = *master[i];
-    Parameter& r = *replica[i];
-    if (r.version == m.version) continue;  // unchanged since last broadcast
-    FSDA_CHECK_MSG(r.value.rows() == m.value.rows() &&
-                       r.value.cols() == m.value.cols(),
-                   "broadcast: parameter shape mismatch");
-    la::copy_into(m.value, r.value);
-    // Replicas never step, so adopting the master's version exactly tracks
-    // "value equals master's value of this version".
-    r.version = m.version;
-  }
-}
-
-void reduce_shard_gradients(
-    const std::vector<Parameter*>& master,
-    const std::vector<std::vector<Parameter*>>& shards) {
-  const std::size_t count = shards.size();
-  if (count == 0) return;
-  for (const auto& shard : shards) {
-    FSDA_CHECK_MSG(shard.size() == master.size(),
-                   "reduce: shard parameter count mismatch");
-  }
-  // Fixed pairwise tree: pass 1 folds 1->0, 3->2, ...; pass 2 folds 2->0,
-  // 6->4, ...; independent of shard execution order, and the log-depth
-  // pairing keeps magnitudes balanced compared to a left fold.
-  for (std::size_t step = 1; step < count; step *= 2) {
-    for (std::size_t i = 0; i + step < count; i += 2 * step) {
-      for (std::size_t p = 0; p < master.size(); ++p) {
-        shards[i][p]->grad += shards[i + step][p]->grad;
-      }
+  common::parallel_for(count(), [&](std::size_t shard) {
+    Replica& replica = *replicas_[shard];
+    for (std::size_t i = 0; i < master_.size(); ++i) {
+      broadcast_parameters(master_params_[i], replica.params[i]);
     }
-  }
-  for (std::size_t p = 0; p < master.size(); ++p) {
-    master[p]->grad += shards[0][p]->grad;
-  }
+    fn(shard);
+  });
+  sync_batch_norms();
 }
 
-namespace {
-void collect_layers_into(Layer& layer, std::vector<Layer*>& out) {
-  out.push_back(&layer);
-  layer.for_each_child(
-      [&out](Layer& child) { collect_layers_into(child, out); });
-}
-}  // namespace
-
-std::vector<Layer*> collect_layers(Layer& root) {
-  std::vector<Layer*> out;
-  collect_layers_into(root, out);
-  return out;
-}
-
-void reseed_dropouts(Layer& root, common::Rng rng) {
-  std::uint64_t index = 0;
-  for (Layer* layer : collect_layers(root)) {
-    if (auto* dropout = dynamic_cast<Dropout*>(layer)) {
-      dropout->reseed(rng.split(++index));
-    }
-  }
-}
-
-void GhostBatchNormSync::bind(Layer& master,
-                              const std::vector<Layer*>& replicas) {
-  entries_.clear();
-  std::vector<BatchNorm1d*> master_bns;
-  for (Layer* layer : collect_layers(master)) {
-    if (auto* bn = dynamic_cast<BatchNorm1d*>(layer)) master_bns.push_back(bn);
-  }
-  entries_.resize(master_bns.size());
-  for (std::size_t i = 0; i < master_bns.size(); ++i) {
-    entries_[i].master = master_bns[i];
-  }
-  for (Layer* replica : replicas) {
-    std::size_t i = 0;
-    for (Layer* layer : collect_layers(*replica)) {
-      if (auto* bn = dynamic_cast<BatchNorm1d*>(layer)) {
-        FSDA_CHECK_MSG(i < entries_.size(),
-                       "replica has more BatchNorm layers than master");
-        entries_[i++].replicas.push_back(bn);
-      }
-    }
-    FSDA_CHECK_MSG(i == entries_.size(),
-                   "replica has fewer BatchNorm layers than master");
-  }
-}
-
-void GhostBatchNormSync::update(const std::vector<ShardRange>& ranges) {
-  if (entries_.empty()) return;
-  double total = 0.0;
-  for (const ShardRange& range : ranges) {
-    total += static_cast<double>(range.second - range.first);
-  }
-  if (total <= 0.0) return;
-  for (Entry& entry : entries_) {
-    // A tail batch may resolve to fewer shards than replicas exist; only
-    // the first ranges.size() replicas ran.
-    FSDA_CHECK_MSG(ranges.size() <= entry.replicas.size(),
-                   "GhostBatchNormSync: more ranges than replicas");
+// Ghost batch norm: normalization inside a shard uses the shard's own
+// statistics, the running state tracks the full batch.  With weights
+// w_r = rows_r / rows, E[x] = sum w_r mean_r and
+// Var[x] = sum w_r (var_r + mean_r^2) - E[x]^2 are exact because the
+// shards partition the batch.
+void ShardedNets::sync_batch_norms() {
+  for (BatchNormClones& bn : batch_norms_) {
     bool used = true;
-    for (std::size_t r = 0; r < ranges.size(); ++r) {
-      used = used && entry.replicas[r]->last_used_batch_stats();
+    for (std::size_t r = 0; r < count(); ++r) {
+      used = used && bn.replicas[r]->last_used_batch_stats();
     }
     if (!used) continue;  // eval-mode or degenerate forward; nothing to fold
-    const std::size_t d = entry.replicas.front()->last_batch_mean().cols();
-    mean_.resize(1, d);
-    var_.resize(1, d);
-    mean_.fill(0.0);
-    var_.fill(0.0);
-    for (std::size_t r = 0; r < ranges.size(); ++r) {
-      const double w =
-          static_cast<double>(ranges[r].second - ranges[r].first) / total;
-      const la::Matrix& sm = entry.replicas[r]->last_batch_mean();
-      const la::Matrix& sv = entry.replicas[r]->last_batch_var();
+    const std::size_t d = bn.replicas.front()->last_batch_mean().cols();
+    bn_mean_.resize(1, d);
+    bn_var_.resize(1, d);
+    bn_mean_.fill(0.0);
+    bn_var_.fill(0.0);
+    for (std::size_t r = 0; r < count(); ++r) {
+      const double w = weight(r);
+      const la::Matrix& sm = bn.replicas[r]->last_batch_mean();
+      const la::Matrix& sv = bn.replicas[r]->last_batch_var();
       for (std::size_t c = 0; c < d; ++c) {
-        mean_(0, c) += w * sm(0, c);
-        var_(0, c) += w * (sv(0, c) + sm(0, c) * sm(0, c));
+        bn_mean_(0, c) += w * sm(0, c);
+        bn_var_(0, c) += w * (sv(0, c) + sm(0, c) * sm(0, c));
       }
     }
     for (std::size_t c = 0; c < d; ++c) {
-      // Exact full-batch (biased) variance; clamp guards rounding-induced
-      // tiny negatives when the batch is nearly constant.
-      var_(0, c) = std::max(var_(0, c) - mean_(0, c) * mean_(0, c), 0.0);
+      // Clamp guards rounding-induced tiny negatives on constant columns.
+      bn_var_(0, c) =
+          std::max(bn_var_(0, c) - bn_mean_(0, c) * bn_mean_(0, c), 0.0);
     }
-    entry.master->apply_running_update(mean_, var_);
+    bn.master->apply_running_update(bn_mean_, bn_var_);
   }
+}
+
+void ShardedNets::reduce(std::size_t index) {
+  const std::size_t count = this->count();
+  if (count == 1) return;
+  const auto grads = [&](std::size_t shard, std::size_t p) -> la::Matrix& {
+    return replicas_[shard]->params[index][p]->grad;
+  };
+  const std::size_t num_params = master_params_[index].size();
+  // Fixed tree: pass 1 folds 1->0, 3->2, ...; pass 2 folds 2->0, 6->4, ...;
+  // independent of shard execution order, and the log-depth pairing keeps
+  // magnitudes balanced compared to a left fold.
+  for (std::size_t step = 1; step < count; step *= 2) {
+    for (std::size_t s = 0; s + step < count; s += 2 * step) {
+      for (std::size_t p = 0; p < num_params; ++p) {
+        grads(s, p) += grads(s + step, p);
+      }
+    }
+  }
+  for (std::size_t p = 0; p < num_params; ++p) {
+    master_params_[index][p]->grad += grads(0, p);
+  }
+  for (std::size_t s = 0; s < count; ++s) {
+    for (Parameter* param : replicas_[s]->params[index]) param->zero_grad();
+  }
+}
+
+FitTelemetry::FitTelemetry(const char* name, const char* epochs_counter,
+                           const char* epochs_help)
+    : span_(name),
+      event_(obs::EventCategory::Training,
+             [name] { return obs::FlightRecorder::global().intern(name); }),
+      pack_seconds0_(gemm_pack_seconds()),
+      epochs_(obs::MetricsRegistry::global().counter(epochs_counter,
+                                                     epochs_help)),
+      epoch_ms_(obs::MetricsRegistry::global().hdr(
+          "training.epoch_ms", obs::HdrOptions{},
+          "reconstructor training epoch wall time (ms), all model kinds")) {}
+
+void FitTelemetry::end_epoch() {
+  epochs_.inc();
+  epoch_ms_.record(epoch_watch_.millis());
+}
+
+void FitTelemetry::finish() {
+  auto& registry = obs::MetricsRegistry::global();
+  const double fit_seconds = fit_watch_.seconds();
+  registry
+      .gauge("training.steps_per_second",
+             "optimizer steps per second, last fit")
+      .set(fit_seconds > 0.0 ? static_cast<double>(steps_) / fit_seconds
+                             : 0.0);
+  registry
+      .gauge("training.gemm_pack_seconds",
+             "wall-clock seconds spent packing GEMM panels, last fit")
+      .set(gemm_pack_seconds() - pack_seconds0_);
 }
 
 }  // namespace fsda::nn

@@ -1,12 +1,21 @@
 #include "nn/workspace.hpp"
 
+#include <atomic>
 #include <cassert>
 #include <chrono>
 
 #include "la/view.hpp"
-#include "nn/backend.hpp"
 
 namespace fsda::nn {
+
+namespace {
+std::atomic<std::uint64_t> g_pack_nanos{0};
+}  // namespace
+
+double gemm_pack_seconds() {
+  return static_cast<double>(g_pack_nanos.load(std::memory_order_relaxed)) *
+         1e-9;
+}
 
 la::Matrix& Workspace::buffer(const void* owner, int slot, std::size_t rows,
                               std::size_t cols) {
@@ -41,10 +50,12 @@ const la::PackedB& Workspace::packed(const void* owner, int slot,
   } else {
     entry.pack.pack(weights);
   }
-  detail::add_pack_nanos(static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count()));
+  g_pack_nanos.fetch_add(
+      static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count()),
+      std::memory_order_relaxed);
   entry.version = version;
   entry.transposed = transposed;
   return entry.pack;

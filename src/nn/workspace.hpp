@@ -103,4 +103,9 @@ class Workspace {
   bool param_grads_enabled_ = true;
 };
 
+/// Cumulative process-wide seconds Workspace::packed() spent re-packing
+/// weight panels (cache misses).  Feeds the training.gemm_pack_seconds
+/// gauge; callers diff it across a fit.
+[[nodiscard]] double gemm_pack_seconds();
+
 }  // namespace fsda::nn

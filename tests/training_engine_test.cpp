@@ -9,15 +9,17 @@
 //   - a sharded fit is bitwise identical whether the shards run serially or
 //     on the thread pool;
 //   - a steady-state training loop allocates no matrices;
-//   - a CGAN fit routed through the packed engine matches the legacy
-//     layer-API fit closely under a forced common ISA.
+//   - a CGAN fit through the packed engine matches a golden recording of
+//     the former blocked-matmul training path under the scalar ISA.
 #include <cmath>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "core/autoencoder.hpp"
 #include "core/cgan.hpp"
 #include "core/vae.hpp"
@@ -25,7 +27,6 @@
 #include "la/matrix.hpp"
 #include "la/optim_kernels.hpp"
 #include "nn/activations.hpp"
-#include "nn/backend.hpp"
 #include "nn/linear.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
@@ -43,12 +44,9 @@ la::Matrix random_matrix(std::size_t rows, std::size_t cols,
   return m;
 }
 
-// Restores global ISA/backend forcing even when an assertion fails.
+// Restores global ISA forcing even when an assertion fails.
 struct IsaGuard {
   ~IsaGuard() { la::set_gemm_isa(la::GemmIsa::Auto); }
-};
-struct BackendGuard {
-  ~BackendGuard() { nn::set_training_backend(nn::TrainingBackend::Packed); }
 };
 
 // ---------------------------------------------------------------------------
@@ -225,52 +223,32 @@ void expect_params_bitwise_equal(nn::Sequential* a, nn::Sequential* b) {
   }
 }
 
+// Runs `fn` on a ThreadPool worker, where parallel_for runs nested calls
+// inline: the shards of a fit started there execute serially.
+template <typename F>
+void run_serially(F&& fn) {
+  common::ThreadPool::global().submit(std::forward<F>(fn)).get();
+}
+
+void expect_bitwise_equal(const la::Matrix& a, const la::Matrix& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  for (std::size_t i = 0; i < a.data().size(); ++i) {
+    ASSERT_EQ(a.data()[i], b.data()[i]) << "element " << i;
+  }
+}
+
 TEST(ShardedTraining, SerialAndThreadedShardsBitwiseIdentical) {
   const GanFixture f = make_gan_fixture(128, 6, 8);
-  core::CganOptions serial_opts = tiny_gan_options();
-  serial_opts.train_shards = 4;
-  serial_opts.shard_threads = false;
-  core::CganOptions threaded_opts = serial_opts;
-  threaded_opts.shard_threads = true;
+  core::CganOptions opts = tiny_gan_options();
+  opts.train_shards = 4;
 
-  core::ConditionalGAN serial_gan(6, 8, serial_opts, 99);
-  core::ConditionalGAN threaded_gan(6, 8, threaded_opts, 99);
-  serial_gan.fit(f.x_inv, f.x_var, f.labels, 3);
+  core::ConditionalGAN serial_gan(6, 8, opts, 99);
+  core::ConditionalGAN threaded_gan(6, 8, opts, 99);
+  run_serially([&] { serial_gan.fit(f.x_inv, f.x_var, f.labels, 3); });
   threaded_gan.fit(f.x_inv, f.x_var, f.labels, 3);
   expect_params_bitwise_equal(serial_gan.generator_network(),
                               threaded_gan.generator_network());
-}
-
-TEST(ShardedTraining, SkippingDiscriminatorGradsInGStepKeepsTrajectory) {
-  // The generator step only consumes dX of the discriminator backward; its
-  // dW/db were zeroed before the next D step without ever being read.
-  // Skipping them must therefore keep the training trajectory within
-  // 1e-12 of the old schedule -- and since dX is computed by the same
-  // kernels either way, it is in fact bitwise identical.
-  const GanFixture f = make_gan_fixture(128, 6, 8);
-  core::CganOptions skip_opts = tiny_gan_options();
-  skip_opts.skip_d_grads_in_g_step = true;
-  core::CganOptions full_opts = tiny_gan_options();
-  full_opts.skip_d_grads_in_g_step = false;
-
-  core::ConditionalGAN skip_gan(6, 8, skip_opts, 99);
-  core::ConditionalGAN full_gan(6, 8, full_opts, 99);
-  skip_gan.fit(f.x_inv, f.x_var, f.labels, 3);
-  full_gan.fit(f.x_inv, f.x_var, f.labels, 3);
-  expect_params_bitwise_equal(skip_gan.generator_network(),
-                              full_gan.generator_network());
-
-  // The sharded G-step gates the per-replica workspaces the same way.
-  core::CganOptions sharded_skip = skip_opts;
-  sharded_skip.train_shards = 4;
-  core::CganOptions sharded_full = full_opts;
-  sharded_full.train_shards = 4;
-  core::ConditionalGAN sharded_skip_gan(6, 8, sharded_skip, 99);
-  core::ConditionalGAN sharded_full_gan(6, 8, sharded_full, 99);
-  sharded_skip_gan.fit(f.x_inv, f.x_var, f.labels, 3);
-  sharded_full_gan.fit(f.x_inv, f.x_var, f.labels, 3);
-  expect_params_bitwise_equal(sharded_skip_gan.generator_network(),
-                              sharded_full_gan.generator_network());
 }
 
 TEST(ShardedTraining, AutoencoderSerialThreadedBitwiseIdentical) {
@@ -280,19 +258,14 @@ TEST(ShardedTraining, AutoencoderSerialThreadedBitwiseIdentical) {
   opts.epochs = 4;
   opts.batch_size = 48;
   opts.train_shards = 3;
-  opts.shard_threads = false;
   core::AutoencoderReconstructor serial_ae(5, 7, opts, 11);
-  opts.shard_threads = true;
   core::AutoencoderReconstructor threaded_ae(5, 7, opts, 11);
-  serial_ae.fit(f.x_inv, f.x_var, f.labels, 3);
+  run_serially([&] { serial_ae.fit(f.x_inv, f.x_var, f.labels, 3); });
   threaded_ae.fit(f.x_inv, f.x_var, f.labels, 3);
   EXPECT_TRUE(serial_ae.healthy());
   ASSERT_EQ(serial_ae.last_loss(), threaded_ae.last_loss());
-  const la::Matrix a = serial_ae.reconstruct(f.x_inv);
-  const la::Matrix b = threaded_ae.reconstruct(f.x_inv);
-  for (std::size_t i = 0; i < a.data().size(); ++i) {
-    ASSERT_EQ(a.data()[i], b.data()[i]);
-  }
+  expect_bitwise_equal(serial_ae.reconstruct(f.x_inv),
+                       threaded_ae.reconstruct(f.x_inv));
 }
 
 TEST(ShardedTraining, VaeShardedFitStaysHealthy) {
@@ -302,12 +275,18 @@ TEST(ShardedTraining, VaeShardedFitStaysHealthy) {
   opts.epochs = 4;
   opts.batch_size = 48;
   opts.train_shards = 0;  // auto: one shard per pool worker
-  core::VaeReconstructor vae(5, 7, opts, 21);
-  vae.fit(f.x_inv, f.x_var, f.labels, 3);
-  EXPECT_TRUE(vae.healthy());
-  EXPECT_TRUE(std::isfinite(vae.last_loss()));
-  const la::Matrix recon = vae.reconstruct(f.x_inv);
+  core::VaeReconstructor serial_vae(5, 7, opts, 21);
+  core::VaeReconstructor threaded_vae(5, 7, opts, 21);
+  run_serially([&] { serial_vae.fit(f.x_inv, f.x_var, f.labels, 3); });
+  threaded_vae.fit(f.x_inv, f.x_var, f.labels, 3);
+  EXPECT_TRUE(threaded_vae.healthy());
+  EXPECT_TRUE(std::isfinite(threaded_vae.last_loss()));
+  ASSERT_EQ(serial_vae.last_loss(), threaded_vae.last_loss());
+  // reconstruct() draws its latent noise from each model's own stream, so
+  // equal outputs need equal decoders and equal stream positions.
+  const la::Matrix recon = threaded_vae.reconstruct(f.x_inv);
   for (double v : recon.data()) ASSERT_TRUE(std::isfinite(v));
+  expect_bitwise_equal(serial_vae.reconstruct(f.x_inv), recon);
 }
 
 // ---------------------------------------------------------------------------
@@ -345,33 +324,59 @@ TEST(TrainingAllocations, SteadyStateStepAllocatesNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// Packed engine vs legacy layer path, end to end.
+// Packed engine vs the former blocked-matmul training path, end to end.
 
-TEST(TrainingBackendParity, CganFitMatchesLegacyUnderForcedIsa) {
-  BackendGuard backend_guard;
+// The tiny-fixture CGAN fit (make_gan_fixture(128, 6, 8), tiny_gan_options,
+// seed 7) as recorded through the removed blocked-matmul Linear path under
+// GemmIsa::Scalar: per-epoch {d_loss, g_adv_loss, g_recon_loss}, then
+// reconstruct() of the fixture's first four invariant rows.
+constexpr double kLegacyHistory[3][3] = {
+    {1.4534165835732806, 0.89804899256348902, 0.84347600605571194},
+    {1.4088812618903825, 0.86330003160374968, 0.82570918132542204},
+    {1.5002617884426037, 0.88155374363702532, 0.81757594161223146},
+};
+constexpr double kLegacyProbe[4][8] = {
+    {0.29387457204002371, -0.48655144116272292, -0.66256100667158302,
+     0.7311848787435471, -0.77671944747146515, -0.89194104584126666,
+     0.87888367969771153, 0.50935424411829344},
+    {0.90476527220873226, -0.91800223473654929, 0.85683950562382794,
+     0.50466726419368535, -0.96447199248587356, 0.04244708955082873,
+     0.29917841076956514, 0.39581135750629098},
+    {-0.91599201770515193, 0.22696395353492749, -0.73666644843738327,
+     -0.9073249457390099, 0.98600805436940575, 0.17749939579909668,
+     -0.41619583210451033, 0.33808818316970446},
+    {-0.46661235344942426, -0.99880129753327018, 0.96518859572293481,
+     0.28379697159075179, -0.18610495959934895, 0.55530391199094054,
+     0.6217106951225011, -0.28376097567290298},
+};
+
+TEST(PackedTrainingGolden, CganFitMatchesLegacyRecordingUnderScalarIsa) {
   IsaGuard isa_guard;
-  // Force one ISA for both runs so the only difference is the packed
-  // engine's kernel/loop structure vs the legacy matmul path.
+  // One forced ISA, as in the recording, so the only difference left is
+  // the packed engine's kernel/loop structure.
   la::set_gemm_isa(la::GemmIsa::Scalar);
   const GanFixture f = make_gan_fixture(128, 6, 8);
+  core::ConditionalGAN gan(6, 8, tiny_gan_options(), 7);
+  gan.fit(f.x_inv, f.x_var, f.labels, 3);
 
-  nn::set_training_backend(nn::TrainingBackend::Packed);
-  core::ConditionalGAN packed_gan(6, 8, tiny_gan_options(), 7);
-  packed_gan.fit(f.x_inv, f.x_var, f.labels, 3);
-
-  nn::set_training_backend(nn::TrainingBackend::Legacy);
-  core::ConditionalGAN legacy_gan(6, 8, tiny_gan_options(), 7);
-  legacy_gan.fit(f.x_inv, f.x_var, f.labels, 3);
-
-  const auto pp = packed_gan.generator_network()->parameters();
-  const auto lp = legacy_gan.generator_network()->parameters();
-  ASSERT_EQ(pp.size(), lp.size());
-  for (std::size_t p = 0; p < pp.size(); ++p) {
-    const auto& dp = pp[p]->value.data();
-    const auto& dl = lp[p]->value.data();
-    ASSERT_EQ(dp.size(), dl.size());
-    for (std::size_t i = 0; i < dp.size(); ++i) {
-      ASSERT_NEAR(dp[i], dl[i], 1e-6) << "param " << p << " element " << i;
+  ASSERT_EQ(gan.history().size(), 3u);
+  for (std::size_t e = 0; e < 3; ++e) {
+    const core::GanEpochStats& h = gan.history()[e];
+    EXPECT_NEAR(h.d_loss, kLegacyHistory[e][0], 1e-6) << "epoch " << e;
+    EXPECT_NEAR(h.g_adv_loss, kLegacyHistory[e][1], 1e-6) << "epoch " << e;
+    EXPECT_NEAR(h.g_recon_loss, kLegacyHistory[e][2], 1e-6) << "epoch " << e;
+  }
+  la::Matrix probe(4, 6, 0.0);
+  for (std::size_t r = 0; r < 4; ++r) {
+    for (std::size_t c = 0; c < 6; ++c) probe(r, c) = f.x_inv(r, c);
+  }
+  const la::Matrix out = gan.reconstruct(probe);
+  ASSERT_EQ(out.rows(), 4u);
+  ASSERT_EQ(out.cols(), 8u);
+  for (std::size_t r = 0; r < 4; ++r) {
+    for (std::size_t c = 0; c < 8; ++c) {
+      EXPECT_NEAR(out(r, c), kLegacyProbe[r][c], 1e-6)
+          << "probe (" << r << "," << c << ")";
     }
   }
 }

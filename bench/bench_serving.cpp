@@ -6,14 +6,15 @@
 //
 //   1. closed-loop saturation -- N client threads, each submitting one
 //      single-row request and waiting for its answer, against (a) a
-//      batch=1 daemon (micro-batching disabled) and (b) the adaptive
-//      daemon.  Reports rows/sec and client-observed HDR latency
-//      quantiles; the adaptive daemon must reach >= 1.5x the batch=1
-//      throughput at saturation.  Sheds are tallied by admission reason;
-//      any queue_full shed fails the bench (clients with one request in
-//      flight each cannot fill the queue).
+//      batch=1 daemon (micro-batching disabled) and (b) the batched
+//      daemon (greedy coalescing up to the default 64-row cap).  Reports
+//      rows/sec and client-observed HDR latency quantiles; the batched
+//      daemon must reach >= 1.5x the batch=1 throughput at saturation.
+//      Sheds are tallied by admission reason; any queue_full shed fails
+//      the bench (clients with one request in flight each cannot fill the
+//      queue).
 //   2. open-loop overload -- a dispatcher offers requests at ~2x the
-//      measured adaptive capacity against a small admission queue.
+//      measured batched capacity against a small admission queue.
 //      Reports offered/accepted/shed rates and the end-to-end latency of
 //      ADMITTED requests, whose p99 must stay within the configured SLO
 //      (that is the point of shedding at the door).
@@ -326,8 +327,7 @@ int main() {
   ClosedLoopResult batch1;
   {
     serve::ServeOptions opt;
-    opt.batch.min_batch_rows = 1;
-    opt.batch.max_batch_rows = 1;
+    opt.max_batch_rows = 1;
     serve::ServeDaemon daemon(pipeline, opt);
     daemon.start();
     batch1 = run_closed_loop(daemon, test, classes, clients, loop_seconds);
@@ -335,15 +335,15 @@ int main() {
   }
   print_closed("batch=1", batch1);
 
-  // -- Phase 1b + 3: closed-loop adaptive, hot-swaps injected mid-run -------
+  // -- Phase 1b + 3: closed-loop batched, hot-swaps injected mid-run --------
   // A re-adaptation publishes the second generation the swaps alternate
   // with (train's stays the rollback target).
   pipeline.adapt_to_new_target(data::sample_few_shot(split.target_pool, 5, 8));
-  ClosedLoopResult adaptive;
+  ClosedLoopResult batched;
   std::uint64_t swaps = 0;
   std::set<std::uint64_t> served_ids;
   {
-    serve::ServeOptions opt;  // adaptive defaults (cap 64)
+    serve::ServeOptions opt;  // default 64-row cap
     serve::ServeDaemon daemon(pipeline, opt);
     daemon.start();
     std::atomic<bool> stop_swapper{false};
@@ -362,21 +362,21 @@ int main() {
         served_ids.insert(probe->generation_id());
       }
     });
-    adaptive = run_closed_loop(daemon, test, classes, clients, loop_seconds);
+    batched = run_closed_loop(daemon, test, classes, clients, loop_seconds);
     stop_swapper.store(true, std::memory_order_relaxed);
     swapper.join();
     daemon.stop();
   }
-  print_closed("adaptive", adaptive);
+  print_closed("batched", batched);
   const double ratio = batch1.rows_per_sec > 0
-                           ? adaptive.rows_per_sec / batch1.rows_per_sec
+                           ? batched.rows_per_sec / batch1.rows_per_sec
                            : 0.0;
-  std::printf("adaptive/batch=1 throughput ratio: %.2fx (target >= 1.5x), "
+  std::printf("batched/batch=1 throughput ratio: %.2fx (target >= 1.5x), "
               "%llu hot-swaps over %zu served generations, %llu failed, "
               "%llu invalid\n",
               ratio, static_cast<unsigned long long>(swaps), served_ids.size(),
-              static_cast<unsigned long long>(adaptive.tally.failed),
-              static_cast<unsigned long long>(adaptive.tally.invalid));
+              static_cast<unsigned long long>(batched.tally.failed),
+              static_cast<unsigned long long>(batched.tally.invalid));
 
   // -- Phase 2: open-loop overload against a small admission queue ----------
   OverloadResult overload;
@@ -386,7 +386,7 @@ int main() {
     serve::ServeDaemon daemon(pipeline, opt);
     daemon.start();
     const double offered_rate =
-        std::max(2000.0, 2.0 * adaptive.rows_per_sec);
+        std::max(2000.0, 2.0 * batched.rows_per_sec);
     overload = run_open_loop(daemon, test, offered_rate, overload_seconds);
     daemon.stop();
   }
@@ -422,7 +422,7 @@ int main() {
         "\"slo_target_ms\":%.1f,"
         "\"batch1\":{\"rows_per_sec\":%.1f,\"rows_per_batch\":%.2f,"
         "\"p50_ms\":%.4f,\"p99_ms\":%.4f,\"shed\":%s},"
-        "\"adaptive\":{\"rows_per_sec\":%.1f,\"rows_per_batch\":%.2f,"
+        "\"batched\":{\"rows_per_sec\":%.1f,\"rows_per_batch\":%.2f,"
         "\"p50_ms\":%.4f,\"p90_ms\":%.4f,\"p99_ms\":%.4f,\"p999_ms\":%.4f,"
         "\"shed\":%s},"
         "\"throughput_ratio\":%.3f,"
@@ -436,13 +436,13 @@ int main() {
         la::gemm_avx2_available() ? "true" : "false", clients, kSloTargetMs,
         batch1.rows_per_sec, batch1.rows_per_batch, batch1.latency.p50_ms,
         batch1.latency.p99_ms, shed_json(batch1.tally).c_str(),
-        adaptive.rows_per_sec, adaptive.rows_per_batch,
-        adaptive.latency.p50_ms, adaptive.latency.p90_ms,
-        adaptive.latency.p99_ms, adaptive.latency.p999_ms,
-        shed_json(adaptive.tally).c_str(), ratio,
+        batched.rows_per_sec, batched.rows_per_batch,
+        batched.latency.p50_ms, batched.latency.p90_ms,
+        batched.latency.p99_ms, batched.latency.p999_ms,
+        shed_json(batched.tally).c_str(), ratio,
         static_cast<unsigned long long>(swaps), served_ids.size(),
-        static_cast<unsigned long long>(adaptive.tally.failed),
-        static_cast<unsigned long long>(adaptive.tally.invalid),
+        static_cast<unsigned long long>(batched.tally.failed),
+        static_cast<unsigned long long>(batched.tally.invalid),
         overload.offered_per_sec,
         static_cast<unsigned long long>(overload.offered),
         static_cast<unsigned long long>(overload.accepted),
@@ -458,7 +458,7 @@ int main() {
   // reported only -- they depend on host speed (sanitizer builds run this
   // same smoke).
   const std::uint64_t closed_queue_full =
-      batch1.tally.shed_queue_full + adaptive.tally.shed_queue_full;
+      batch1.tally.shed_queue_full + batched.tally.shed_queue_full;
   if (closed_queue_full > 0) {
     std::fprintf(stderr, "bench_serving: %llu closed-loop queue_full sheds "
                          "with %zu clients and a %zu-deep queue\n",

@@ -74,7 +74,6 @@ FNodeResult run_search(const FisherZTest& test, const FNodeOptions& options,
   std::vector<char> marginally_independent(d, 0);
   std::atomic<std::size_t> tests_performed{0};
   std::atomic<std::size_t> warm_reconfirmed{0};
-  const bool warm_on = seed != nullptr && options.warm != WarmStart::Off;
 
   // Watchdog: once the deadline fires, every worker short-circuits and the
   // result is flagged truncated.  The flag is sticky so the wall clock is
@@ -117,13 +116,13 @@ FNodeResult run_search(const FisherZTest& test, const FNodeOptions& options,
   }
 
   // Separating-set size distribution: level 0 for marginally independent
-  // features, the successful level L otherwise.  Hoisted once; observe() is
+  // features, the successful level L otherwise.  Hoisted once; record() is
   // wait-free and safe from pool workers.
-  obs::Histogram& sepset_size = obs::MetricsRegistry::global().histogram(
-      "fs.sepset_size", {0.0, 1.0, 2.0, 3.0, 4.0},
+  obs::HdrHistogram& sepset_size = obs::MetricsRegistry::global().hdr(
+      "fs.sepset_size", obs::HdrOptions{},
       "separating-set size at which features tested F-independent");
   for (std::size_t x = 0; x < d; ++x) {
-    if (marginally_independent[x]) sepset_size.observe(0.0);
+    if (marginally_independent[x]) sepset_size.record(0.0);
   }
 
   auto process_feature = [&](std::size_t x) {
@@ -146,30 +145,23 @@ FNodeResult run_search(const FisherZTest& test, const FNodeOptions& options,
     }
 
     // Warm-start probe: the previous generation separated X from F with
-    // S_old -- test that exact set before enumerating anything.  Under
-    // Full fidelity the early exit is taken only when the cold search
-    // would provably have tried S_old itself (members inside the screened
-    // pool, level within budget, lexicographic enumeration rank within
-    // max_subsets_per_level): cold declares X invariant iff ANY tried
-    // subset separates, so reconfirming a cold-tried subset cannot change
-    // the verdict.  When the probe fails (or is ineligible) the normal
-    // enumeration below runs in full, with the probe NOT counted against
-    // the subset budget -- the Full-mode partition is therefore identical
-    // to a cold run, at the cost of at most one extra CI test here.
+    // S_old -- test that exact set before enumerating anything.  The early
+    // exit is taken only when the cold search would provably have tried
+    // S_old itself (members inside the screened pool, level within budget,
+    // lexicographic enumeration rank within max_subsets_per_level): cold
+    // declares X invariant iff ANY tried subset separates, so reconfirming
+    // a cold-tried subset cannot change the verdict.  The pool holds only
+    // marginally F-independent features, so a freshly intervened member
+    // (which would spuriously explain the shift away) is never probed.
+    // When the probe fails (or is ineligible) the normal enumeration below
+    // runs in full, with the probe NOT counted against the subset budget --
+    // the partition is therefore identical to a cold run, at the cost of
+    // at most one extra CI test here.
     const std::vector<std::size_t>* warm_set = nullptr;
-    if (warm_on && x < seed->sepsets.size() && !seed->sepsets[x].empty() &&
+    if (seed != nullptr && x < seed->sepsets.size() &&
+        !seed->sepsets[x].empty() &&
         seed->sepsets[x].size() <= options.max_condition_size) {
       warm_set = &seed->sepsets[x];
-      for (const std::size_t m : *warm_set) {
-        // Conditioning on a now-marginally-dependent feature (a freshly
-        // intervened one) would spuriously explain the shift away.
-        if (m >= d || m == x || !marginally_independent[m]) {
-          warm_set = nullptr;
-          break;
-        }
-      }
-    }
-    if (warm_set != nullptr && options.warm == WarmStart::Full) {
       std::vector<std::size_t> pos;
       pos.reserve(warm_set->size());
       for (const std::size_t m : *warm_set) {
@@ -193,24 +185,19 @@ FNodeResult run_search(const FisherZTest& test, const FNodeOptions& options,
       if (test.test(x, f_index, *warm_set).independent) {
         result.sepsets[x] = *warm_set;
         warm_reconfirmed.fetch_add(1, std::memory_order_relaxed);
-        sepset_size.observe(static_cast<double>(warm_set->size()));
+        sepset_size.record(static_cast<double>(warm_set->size()));
         return;  // invariant: the old separating set still separates
       }
     }
 
-    std::size_t max_subsets = options.max_subsets_per_level;
-    if (warm_on && options.warm == WarmStart::Budgeted) {
-      max_subsets = max_subsets == 0
-                        ? options.warm_budget
-                        : std::min(max_subsets, options.warm_budget);
-    }
     for (std::size_t level = 1; level <= options.max_condition_size; ++level) {
       if (pool.size() < level) break;
       if (past_deadline()) break;  // keep the marginal verdict: variant
       std::size_t tried = 0;
       bool found_separator = false;
       for_each_subset(pool, level, [&](std::span<const std::size_t> subset) {
-        if (max_subsets != 0 && tried >= max_subsets) {
+        if (options.max_subsets_per_level != 0 &&
+            tried >= options.max_subsets_per_level) {
           return true;  // subset budget exhausted; stop enumerating
         }
         if (past_deadline()) return true;  // watchdog: stop enumerating
@@ -224,7 +211,7 @@ FNodeResult run_search(const FisherZTest& test, const FNodeOptions& options,
         return false;
       });
       if (found_separator) {
-        sepset_size.observe(static_cast<double>(level));
+        sepset_size.record(static_cast<double>(level));
         return;  // invariant: some S gives X ⊥ F | S
       }
     }

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
-#include "common/rng.hpp"
 #include "la/view.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
@@ -27,21 +27,22 @@ DriftDetector::DriftDetector(DriftDetectorOptions options)
   FSDA_CHECK_MSG(options_.psi_clear <= options_.psi_trigger &&
                      options_.ks_clear <= options_.ks_trigger,
                  "clear thresholds must not exceed trigger thresholds");
-  FSDA_CHECK_MSG(options_.min_drifted_features >= 1,
-                 "min_drifted_features must be >= 1");
 }
 
-void DriftDetector::fit(const la::Matrix& reference,
-                        std::vector<std::size_t> columns) {
+namespace {
+
+std::vector<std::size_t> all_columns(std::size_t n) {
+  std::vector<std::size_t> columns(n);
+  std::iota(columns.begin(), columns.end(), std::size_t{0});
+  return columns;
+}
+
+}  // namespace
+
+void DriftDetector::fit(const la::Matrix& reference) {
   FSDA_CHECK_MSG(reference.rows() > 0 && reference.cols() > 0,
                  "detector reference must be non-empty");
-  if (columns.empty()) {
-    columns.resize(reference.cols());
-    for (std::size_t c = 0; c < columns.size(); ++c) columns[c] = c;
-  }
-  columns_ = std::move(columns);
-  monitor_.fit(la::ConstMatrixView(reference), columns_, options_.bins);
-  calibrate_thresholds(la::ConstMatrixView(reference));
+  monitor_.fit(la::ConstMatrixView(reference), all_columns(reference.cols()));
   window_.resize(options_.window, reference.cols());
   win_rows_ = 0;
   win_next_ = 0;
@@ -50,51 +51,6 @@ void DriftDetector::fit(const la::Matrix& reference,
   under_streak_ = 0;
   cooldown_left_ = 0;
   suppressed_ = 0;
-}
-
-void DriftDetector::calibrate_thresholds(la::ConstMatrixView reference) {
-  eff_psi_trigger_ = options_.psi_trigger;
-  eff_ks_trigger_ = options_.ks_trigger;
-  eff_psi_clear_ = options_.psi_clear;
-  eff_ks_clear_ = options_.ks_clear;
-  if (!options_.auto_threshold || options_.calibration_resamples == 0) return;
-  // Score pseudo-windows of the reference against itself: any PSI/KS they
-  // reach is pure sampling noise at this window size, so a real trigger
-  // must clear that floor with margin.
-  const std::size_t win_rows = std::min(options_.window, reference.rows());
-  la::Matrix pseudo = la::Matrix::uninit(win_rows, reference.cols());
-  la::MatrixView pv(pseudo);
-  common::Rng rng(options_.calibration_seed);
-  double psi_floor = 0.0;
-  double ks_floor = 0.0;
-  for (std::size_t s = 0; s < options_.calibration_resamples; ++s) {
-    for (std::size_t r = 0; r < win_rows; ++r) {
-      const std::size_t src =
-          static_cast<std::size_t>(rng.uniform_index(reference.rows()));
-      std::memcpy(pv.row_data(r), reference.row_data(src),
-                  reference.cols() * sizeof(double));
-    }
-    const la::ConstMatrixView win(pseudo);
-    for (const double v : monitor_.psi(win)) psi_floor = std::max(psi_floor, v);
-    for (const double v : monitor_.ks(win)) ks_floor = std::max(ks_floor, v);
-  }
-  eff_psi_trigger_ =
-      std::max(options_.psi_trigger, psi_floor * options_.threshold_safety);
-  eff_ks_trigger_ =
-      std::max(options_.ks_trigger, ks_floor * options_.threshold_safety);
-  // The signal hovers at the noise floor in steady state, so the clear
-  // thresholds must sit above it or a latch would never release; they stay
-  // below the (raised) triggers to preserve the hysteresis band.
-  eff_psi_clear_ = std::min(std::max(options_.psi_clear, psi_floor),
-                            eff_psi_trigger_);
-  eff_ks_clear_ =
-      std::min(std::max(options_.ks_clear, ks_floor), eff_ks_trigger_);
-  FSDA_LOG_INFO << "drift detector: calibrated thresholds (psi "
-                << eff_psi_trigger_ << " / clear " << eff_psi_clear_ << ", ks "
-                << eff_ks_trigger_ << " / clear " << eff_ks_clear_
-                << ") from noise floor psi " << psi_floor << ", ks "
-                << ks_floor << " over " << options_.calibration_resamples
-                << " resamples";
 }
 
 bool DriftDetector::observe(const la::Matrix& batch) {
@@ -118,7 +74,7 @@ bool DriftDetector::observe(const la::Matrix& batch) {
   if (win_rows_ < options_.min_window) return false;
   score_window();
 
-  const bool over = last_drifted_ >= options_.min_drifted_features;
+  const bool over = last_drifted_ > 0;
   if (!latched_) {
     if (cooldown_left_ > 0) {
       --cooldown_left_;
@@ -137,8 +93,8 @@ bool DriftDetector::observe(const la::Matrix& batch) {
     return false;
   }
   // Latched: clear only after `patience` consecutive fully-under windows.
-  const bool under = last_psi_max_ <= eff_psi_clear_ &&
-                     last_ks_max_ <= eff_ks_clear_;
+  const bool under = last_psi_max_ <= options_.psi_clear &&
+                     last_ks_max_ <= options_.ks_clear;
   under_streak_ = under ? under_streak_ + 1 : 0;
   if (under_streak_ >= options_.patience) {
     latched_ = false;
@@ -161,7 +117,7 @@ void DriftDetector::score_window() {
   for (std::size_t i = 0; i < psi.size(); ++i) {
     last_psi_max_ = std::max(last_psi_max_, psi[i]);
     last_ks_max_ = std::max(last_ks_max_, ks[i]);
-    if (psi[i] >= eff_psi_trigger_ || ks[i] >= eff_ks_trigger_) {
+    if (psi[i] >= options_.psi_trigger || ks[i] >= options_.ks_trigger) {
       ++last_drifted_;
     }
   }
@@ -171,8 +127,7 @@ void DriftDetector::rebaseline_to_window() {
   FSDA_CHECK_MSG(win_rows_ > 0, "rebaseline with an empty window");
   const la::ConstMatrixView win =
       la::ConstMatrixView(window_).row_block(0, win_rows_);
-  monitor_.fit(win, columns_, options_.bins);
-  calibrate_thresholds(win);
+  monitor_.fit(win, all_columns(win.cols()));
   unlatch();
   // The fresh reference IS the window: give the stream time to move before
   // the detector may fire against it.
@@ -314,6 +269,13 @@ const char* to_string(DriftState s) {
 
 namespace {
 
+/// Re-arm backoff schedule: the suppression scale doubles per consecutive
+/// rejection, clamped at 64x.
+constexpr common::RetryPolicy kRearm{/*max_attempts=*/64,
+                                     /*backoff_factor=*/2.0,
+                                     /*deadline_seconds=*/0.0,
+                                     /*max_backoff_scale=*/64.0};
+
 struct LoopCounters {
   obs::Counter& triggers;
   obs::Counter& attempts;
@@ -357,7 +319,7 @@ DriftLoop::DriftLoop(FsGanPipeline& pipeline, DriftLoopOptions options)
                      options_.min_adaptation_samples <=
                          options_.buffer_capacity,
                  "min_adaptation_samples must be in [1, buffer_capacity]");
-  detector_.fit(pipeline_.scaled_source(), options_.monitor_columns);
+  detector_.fit(pipeline_.scaled_source());
   if (options_.warm_readapt) {
     // Incremental per-class sufficient statistics over the scaled buffer
     // rows, so a trigger can hand the worker an O(d²) correlation assembly
@@ -505,14 +467,10 @@ DriftLoop::Result DriftLoop::run_adaptation(const Job& job) {
   // attempt after any rejection) leaves the default-constructed context,
   // which reproduces the original cold build exactly.
   ReadaptContext ctx;
-  ctx.reuse_builds = job.warm;
-  if (job.warm) {
-    if (job.target_stats.dim() > 0 && job.target_stats.weight() > 0.0) {
-      ctx.target_stats = &job.target_stats;
-    }
-    ctx.warm_skeleton = options_.warm_skeleton;
-    ctx.warm_budget = options_.warm_budget;
-    ctx.warm_reconstructor = true;
+  ctx.warm = job.warm;
+  if (job.warm && job.target_stats.dim() > 0 &&
+      job.target_stats.weight() > 0.0) {
+    ctx.target_stats = &job.target_stats;
   }
   CandidateOutcome built = [&] {
     FSDA_EVENT_SCOPE(fsda::obs::EventCategory::Drift, "readapt.build");
@@ -618,7 +576,7 @@ void DriftLoop::apply_result(const Result& result) {
 }
 
 void DriftLoop::start_backoff() {
-  if (!rearm_.has_value()) rearm_.emplace(options_.rearm);
+  if (!rearm_.has_value()) rearm_.emplace(kRearm);
   const double scale = rearm_->backoff_scale();
   (void)rearm_->allow_retry();  // advance the geometric schedule
   const auto batches = std::max<std::size_t>(

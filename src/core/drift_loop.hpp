@@ -49,44 +49,28 @@ struct DriftDetectorOptions {
   /// Windowed-KS trigger/clear thresholds (max CDF gap in [0, 1]).
   double ks_trigger = 0.35;
   double ks_clear = 0.15;
-  /// Auto-tune the trigger thresholds to the reference's sampling noise
-  /// floor at fit() time: `calibration_resamples` pseudo-windows of
-  /// `window` rows are drawn (with replacement) from the reference and
-  /// scored against it; the largest PSI/KS excursion pure sampling noise
-  /// produces, times `threshold_safety`, becomes the effective trigger --
-  /// but never below the explicit psi_trigger/ks_trigger, which remain the
-  /// override.  Off by default (explicit thresholds only).
-  bool auto_threshold = false;
-  /// Effective trigger = max(explicit, noise_floor * threshold_safety).
-  double threshold_safety = 2.0;
-  /// Pseudo-windows drawn for calibration.
-  std::size_t calibration_resamples = 32;
-  /// Seed for the calibration resampler (deterministic).
-  std::uint64_t calibration_seed = 0x5eedULL;
   /// Consecutive over-trigger observations required before latching -- the
   /// hysteresis that keeps a boundary-oscillating signal from flapping.
   std::size_t patience = 2;
   /// Observations after a latch clears before the detector may latch again.
   std::size_t cooldown = 8;
-  /// Features that must exceed the trigger simultaneously.
-  std::size_t min_drifted_features = 1;
-  /// Histogram binning shared by the PSI and KS scores.
-  obs::DriftOptions bins;
 };
 
 /// Streaming drift detector over scaled serving batches: a sliding window
-/// of recent rows is scored per monitored feature with PSI and a windowed
-/// two-sample KS against a fitted reference, with trigger/clear hysteresis
-/// plus patience and cooldown so one noisy batch neither fires nor clears
-/// the latch.  Single-threaded (call from the serving thread).
+/// of recent rows is scored per feature with PSI and a windowed two-sample
+/// KS against a fitted reference.  A window is over when any feature
+/// reaches either trigger; trigger/clear hysteresis plus patience and
+/// cooldown keep one noisy batch from firing or clearing the latch.  Every
+/// column is monitored: drift on a supposedly-invariant feature is
+/// precisely what forces a new partition, so watching only the variant
+/// block would blind the loop to the case it exists for.  Single-threaded
+/// (call from the serving thread).
 class DriftDetector {
  public:
   explicit DriftDetector(DriftDetectorOptions options = {});
 
-  /// Fits the reference distribution per monitored column (empty = all
-  /// columns of `reference`).
-  void fit(const la::Matrix& reference,
-           std::vector<std::size_t> columns = {});
+  /// Fits the reference distribution of every column of `reference`.
+  void fit(const la::Matrix& reference);
 
   /// Pushes a scaled batch into the sliding window and rescores.  Returns
   /// true exactly when the detector latches (edge-triggered).
@@ -115,30 +99,15 @@ class DriftDetector {
     return last_drifted_; }
   [[nodiscard]] const DriftDetectorOptions& options() const {
     return options_; }
-  /// Thresholds actually applied: the explicit options, raised to the
-  /// calibrated noise floor when auto_threshold is on.
-  [[nodiscard]] double effective_psi_trigger() const {
-    return eff_psi_trigger_; }
-  [[nodiscard]] double effective_ks_trigger() const {
-    return eff_ks_trigger_; }
-  [[nodiscard]] double effective_psi_clear() const { return eff_psi_clear_; }
-  [[nodiscard]] double effective_ks_clear() const { return eff_ks_clear_; }
 
  private:
   void score_window();
-  /// Sets the effective thresholds from `reference` (see auto_threshold).
-  void calibrate_thresholds(la::ConstMatrixView reference);
 
   DriftDetectorOptions options_;
   obs::DriftMonitor monitor_;
-  std::vector<std::size_t> columns_;
   la::Matrix window_;          // ring buffer of full-width scaled rows
   std::size_t win_rows_ = 0;   // valid rows in the ring
   std::size_t win_next_ = 0;   // next write position
-  double eff_psi_trigger_ = 0.0;
-  double eff_ks_trigger_ = 0.0;
-  double eff_psi_clear_ = 0.0;
-  double eff_ks_clear_ = 0.0;
   bool latched_ = false;
   std::size_t over_streak_ = 0;
   std::size_t under_streak_ = 0;
@@ -223,11 +192,6 @@ enum class DriftState {
 
 struct DriftLoopOptions {
   DriftDetectorOptions detector;
-  /// Columns the detector monitors (empty = ALL scaled columns -- drift on
-  /// a supposedly-invariant feature is precisely what forces a new
-  /// partition, so monitoring only the variant block would blind the loop
-  /// to the case it exists for).
-  std::vector<std::size_t> monitor_columns;
   /// Capacity of the labeled sample ring.
   std::size_t buffer_capacity = 512;
   /// Minimum buffered samples before a trigger starts an adaptation.
@@ -242,13 +206,9 @@ struct DriftLoopOptions {
   /// Probation trips when the batch quarantine rate exceeds the
   /// pre-promotion EWMA by this much (absolute).
   double quarantine_spike = 0.25;
-  /// Detector suppression after a rejection = base * rearm.backoff_factor^k
-  /// (clamped by rearm.max_backoff_scale), where k counts consecutive
-  /// rejections.
+  /// Detector suppression after a rejection = base * 2^k (the scale is
+  /// clamped at 64), where k counts consecutive rejections.
   std::size_t base_backoff_batches = 4;
-  common::RetryPolicy rearm{/*max_attempts=*/64, /*backoff_factor=*/2.0,
-                            /*deadline_seconds=*/0.0,
-                            /*max_backoff_scale=*/64.0};
   /// Batches before the detector baseline is (re)fit to the live window
   /// instead of the scaled source -- 0 keeps the scaled-source baseline.
   std::size_t warmup_batches = 0;
@@ -258,15 +218,11 @@ struct DriftLoopOptions {
   /// Re-adaptation fast path (DESIGN.md §16): the first attempt after a
   /// trigger runs warm -- sufficient-statistic FS (the buffer maintains
   /// per-class GramStats incrementally), skeleton warm-start from the
-  /// active generation's sepsets, reconstructor warm-start from its
-  /// weights, and the generation build cache.  Any rejection makes the
-  /// next attempt fully cold (the existing fallback ladder), and a
-  /// promotion re-arms the warm path.
+  /// active generation's sepsets (partition identical to a cold search),
+  /// reconstructor warm-start from its weights, and the generation build
+  /// cache.  Any rejection makes the next attempt fully cold (the existing
+  /// fallback ladder), and a promotion re-arms the warm path.
   bool warm_readapt = true;
-  /// Skeleton warm-start fidelity (Full = provably cold-identical
-  /// partition; Budgeted = bounded search capped at warm_budget).
-  causal::WarmStart warm_skeleton = causal::WarmStart::Full;
-  std::size_t warm_budget = 8;
 };
 
 struct DriftLoopStats {

@@ -43,6 +43,10 @@ const SeparationResult& FsGanPipeline::separation() const {
 
 namespace {
 
+/// Validation counts a row as uniform when every probability is within
+/// this of 1/C.
+constexpr double kUniformTol = 1e-6;
+
 /// Resamples `target` so its label mix matches `source_counts`.
 ///
 /// The few-shot draw is stratified per fault type, so its label
@@ -214,7 +218,7 @@ std::shared_ptr<ModelGeneration> FsGanPipeline::make_generation(
     // The PSI reference is the scaled source restricted to the generation's
     // variant block: those are the features expected to drift, so their
     // batch-vs-source divergence is the drift signal worth exporting.
-    gen->drift_monitor.fit(source_scaled_, gen->separation.variant, {});
+    gen->drift_monitor.fit(source_scaled_, gen->separation.variant);
   }
   FSDA_CHECK_MSG(classifier_ != nullptr, "make_generation before train");
   gen->session = InferenceSession::build(
@@ -302,7 +306,7 @@ void FsGanPipeline::train(const data::Dataset& source,
   // reference into the published generation below.
   {
     obs::DriftMonitor probe;
-    probe.fit(source_scaled_, sep.variant, {});
+    probe.fit(source_scaled_, sep.variant);
   }
   health_.fs_truncated = sep.truncated;
   if (sep.truncated) {
@@ -436,11 +440,6 @@ void FsGanPipeline::adapt_to_new_target(const data::Dataset& target_few_shot) {
 }
 
 CandidateOutcome FsGanPipeline::build_candidate_generation(
-    const data::Dataset& target_few_shot, const causal::FNodeOptions& fs) {
-  return build_candidate_generation(target_few_shot, fs, ReadaptContext{});
-}
-
-CandidateOutcome FsGanPipeline::build_candidate_generation(
     const data::Dataset& target_few_shot, const causal::FNodeOptions& fs,
     const ReadaptContext& ctx) {
   CandidateOutcome out;
@@ -466,13 +465,10 @@ CandidateOutcome FsGanPipeline::build_candidate_generation(
             std::to_string(dropped) +
                 " non-finite few-shot target row(s) dropped");
       }
-      causal::FNodeOptions search = fs;
       causal::FNodeSeed skeleton;
       const causal::FNodeSeed* seed_ptr = nullptr;
-      if (ctx.warm_skeleton != causal::WarmStart::Off && active != nullptr &&
+      if (ctx.warm && active != nullptr &&
           active->separation.sepsets.size() == source_scaled_.cols()) {
-        search.warm = ctx.warm_skeleton;
-        search.warm_budget = ctx.warm_budget;
         skeleton.sepsets = active->separation.sepsets;
         seed_ptr = &skeleton;
       }
@@ -483,13 +479,12 @@ CandidateOutcome FsGanPipeline::build_candidate_generation(
         // row is rescanned and no combined matrix is materialized.
         const la::GramStats& src = source_stats();
         FSDA_EVENT_SCOPE(obs::EventCategory::Drift, "readapt.search");
-        fresh = separate_features(src, *ctx.target_stats, search, seed_ptr);
+        fresh = separate_features(src, *ctx.target_stats, fs, seed_ptr);
       } else {
         const la::Matrix target_scaled =
             scaler_.transform(label_shift_corrected_cached(shots).x);
         FSDA_EVENT_SCOPE(obs::EventCategory::Drift, "readapt.search");
-        fresh = separate_features(source_scaled_, target_scaled, search,
-                                  seed_ptr);
+        fresh = separate_features(source_scaled_, target_scaled, fs, seed_ptr);
       }
     }
     out.health.fs_truncated = fresh.truncated;
@@ -506,7 +501,7 @@ CandidateOutcome FsGanPipeline::build_candidate_generation(
         active->separation.invariant == fresh.invariant &&
         active->separation.variant == fresh.variant;
     const Reconstructor* warm_from =
-        ctx.warm_reconstructor && partition_unchanged && active != nullptr
+        ctx.warm && partition_unchanged && active != nullptr
             ? active->reconstructor.get()
             : nullptr;
     std::shared_ptr<Reconstructor> reconstructor;
@@ -521,7 +516,7 @@ CandidateOutcome FsGanPipeline::build_candidate_generation(
       out.generation =
           make_generation(std::move(fresh), std::move(reconstructor),
                           "readapt",
-                          ctx.reuse_builds ? active.get() : nullptr);
+                          ctx.warm ? active.get() : nullptr);
     }
   } catch (const common::Error& e) {
     out.generation = nullptr;
@@ -601,7 +596,7 @@ ValidationVerdict FsGanPipeline::validate_generation(
   for (std::size_t r = 0; r < proba.rows(); ++r) {
     bool is_uniform = true;
     for (std::size_t c = 0; c < proba.cols() && is_uniform; ++c) {
-      if (std::abs(proba(r, c) - uniform) > vo.uniform_tol) is_uniform = false;
+      if (std::abs(proba(r, c) - uniform) > kUniformTol) is_uniform = false;
     }
     if (is_uniform) ++uniform_rows;
   }
@@ -715,11 +710,8 @@ FsGanPipeline::GuardrailTally FsGanPipeline::guarded_predict(
 
   rows_total.inc(x_raw.rows());
   batches_total.inc();
-  const double elapsed_ms = timer.millis();
-  latency_ms.record(elapsed_ms);
-  // The SLO signal is always-on (it feeds admission decisions, not
-  // dashboards), like gauges.
-  obs::serving_slo().record(elapsed_ms);
+  tally.elapsed_ms = timer.millis();
+  latency_ms.record(tally.elapsed_ms);
   return tally;
 }
 
@@ -777,7 +769,12 @@ void FsGanPipeline::predict_proba_serve(const la::Matrix& x_raw,
     if (slot.reserve_rows_ > 0) slot.ctx_->reserve(slot.reserve_rows_);
     slot.generation_ = gen;
   }
-  guarded_predict(*gen, x_raw, slot.x_scaled_, proba, slot.ctx_.get());
+  const GuardrailTally t =
+      guarded_predict(*gen, x_raw, slot.x_scaled_, proba, slot.ctx_.get());
+  // Only daemon traffic feeds the SLO its admission control sheds on;
+  // offline predicts and drift-loop batches stay out of it.  Always-on,
+  // like gauges.
+  obs::serving_slo().record(t.elapsed_ms);
 }
 
 void FsGanPipeline::update_drift_gauges(const ModelGeneration& gen,

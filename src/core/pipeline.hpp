@@ -83,8 +83,6 @@ struct ValidationOptions {
   /// uniform distribution (a collapsed reconstructor pushes every row
   /// through the uniform-output guard).
   double max_uniform_fraction = 0.25;
-  /// A row counts as uniform when every probability is within this of 1/C.
-  double uniform_tol = 1e-6;
 };
 
 /// Outcome of scoring one candidate generation against the holdout.
@@ -104,9 +102,9 @@ struct CandidateOutcome {
 
 /// Re-adaptation fast-path inputs (DESIGN.md §16), assembled by the drift
 /// loop at trigger time.  A default-constructed context reproduces the cold
-/// build exactly; each field independently enables one acceleration layer,
-/// and every layer degrades to the cold path when its precondition fails
-/// (shape mismatch, changed partition, missing previous generation).
+/// build exactly; every layer degrades to the cold path when its
+/// precondition fails (shape mismatch, changed partition, missing previous
+/// generation).
 struct ReadaptContext {
   /// Label-shift-weighted sufficient statistics over the SCALED few-shot
   /// target rows (same representation the materialized FS path would see;
@@ -114,20 +112,15 @@ struct ReadaptContext {
   /// search assembles its correlation matrix in O(d²) from these plus the
   /// pipeline's cached source statistics instead of rescanning rows.
   const la::GramStats* target_stats = nullptr;
-  /// Warm-start the F-node search from the active generation's separating
-  /// sets (causal/fnode.hpp; Full preserves the cold partition exactly).
-  causal::WarmStart warm_skeleton = causal::WarmStart::Off;
-  /// Per-level subset cap under WarmStart::Budgeted.
-  std::size_t warm_budget = 8;
-  /// Warm-start the reconstructor refit from the active generation's
-  /// weights (reduced epoch budget + plateau early stop) when the fresh
-  /// partition is identical to the active one.
-  bool warm_reconstructor = false;
-  /// Generation build cache: when the fresh partition matches the active
-  /// generation's, copy its AssemblyMap and fitted DriftMonitor instead of
-  /// rebuilding them (generations are immutable after publish, so the
-  /// copies are safe snapshots).
-  bool reuse_builds = true;
+  /// Warm start from the active generation, three layers together:
+  ///  - the F-node search is seeded with its separating sets (the
+  ///    partition stays identical to a cold search, causal/fnode.hpp);
+  ///  - when the fresh partition is identical, the reconstructor refit
+  ///    starts from its weights (reduced epoch budget + plateau early
+  ///    stop), and its AssemblyMap and fitted DriftMonitor are copied
+  ///    instead of rebuilt (generations are immutable after publish, so
+  ///    the copies are safe snapshots).
+  bool warm = false;
 };
 
 /// The paper's DA framework around a pluggable classifier + reconstructor.
@@ -200,8 +193,10 @@ class FsGanPipeline {
   /// slots never race.  Differences from predict_proba_into: the
   /// HealthReport and drift gauges are not updated (they are not
   /// thread-safe; the atomic predict.* counters carry the same signals),
-  /// last_scaled_batch() is not refreshed, and the batch runs serially on
-  /// the calling thread.
+  /// last_scaled_batch() is not refreshed, the batch runs serially on
+  /// the calling thread, and only this path records into
+  /// obs::serving_slo() (the signal the daemon's admission control sheds
+  /// on).
   void predict_proba_serve(const la::Matrix& x_raw, la::Matrix& proba,
                            ServeSlot& slot);
 
@@ -210,19 +205,16 @@ class FsGanPipeline {
   /// Builds a fresh candidate generation from new few-shot target rows:
   /// re-runs F-node search under `fs` (use a deadline for bounded response
   /// time) and refits the reconstructor for the discovered partition.
+  /// `ctx` supplies pre-assembled target statistics and/or warm-start state
+  /// from the active generation.  Emits per-stage journal scopes
+  /// (readapt.stats / readapt.search / readapt.refit / readapt.compile) so
+  /// recovery time decomposes in the flight recorder.
   /// Never touches serving state; safe to run on a background thread while
   /// predict_proba keeps serving (but not concurrently with train/adapt).
   /// On failure `generation` is null and `reason` says why.
   [[nodiscard]] CandidateOutcome build_candidate_generation(
-      const data::Dataset& target_few_shot, const causal::FNodeOptions& fs);
-
-  /// Fast-path overload: `ctx` supplies pre-assembled target statistics
-  /// and/or warm-start state from the active generation.  Emits per-stage
-  /// journal scopes (readapt.stats / readapt.search / readapt.refit /
-  /// readapt.compile) so recovery time decomposes in the flight recorder.
-  [[nodiscard]] CandidateOutcome build_candidate_generation(
       const data::Dataset& target_few_shot, const causal::FNodeOptions& fs,
-      const ReadaptContext& ctx);
+      const ReadaptContext& ctx = {});
 
   /// Combines per-class GramStats accumulated over scaled target rows into
   /// the label-shift-corrected statistics the FS stats path consumes:
@@ -331,6 +323,7 @@ class FsGanPipeline {
     std::size_t quarantined = 0;    ///< rows with non-finite raw features
     std::size_t clamped = 0;        ///< scaled cells clamped
     std::size_t nonfinite_out = 0;  ///< output rows rewritten to uniform
+    double elapsed_ms = 0.0;        ///< wall time of the whole sequence
   };
   /// The one guardrail sequence both predict entry points wrap: scale
   /// `x_raw` into `x`, quarantine non-finite rows, clamp, score through

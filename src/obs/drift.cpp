@@ -8,25 +8,31 @@
 
 namespace fsda::obs {
 
-std::size_t DriftMonitor::bin_of(double v) const {
-  if (v < options_.lo) return 0;
-  if (v >= options_.hi) return options_.bins + 1;
-  const double width = (options_.hi - options_.lo) /
-                       static_cast<double>(options_.bins);
-  const auto b = static_cast<std::size_t>((v - options_.lo) / width);
-  return 1 + std::min(b, options_.bins - 1);
+namespace {
+
+/// Interior bins over [kLo, kHi]; two outlier bins are added outside.
+constexpr std::size_t kBins = 16;
+constexpr double kLo = -1.5;
+constexpr double kHi = 1.5;
+/// Floor applied to bin proportions so empty bins cannot blow up the log.
+constexpr double kMinProportion = 1e-4;
+
+/// Bin index of value v: 0 = underflow, 1..kBins = interior, kBins+1 = over.
+std::size_t bin_of(double v) {
+  if (v < kLo) return 0;
+  if (v >= kHi) return kBins + 1;
+  const double width = (kHi - kLo) / static_cast<double>(kBins);
+  const auto b = static_cast<std::size_t>((v - kLo) / width);
+  return 1 + std::min(b, kBins - 1);
 }
 
+}  // namespace
+
 void DriftMonitor::fit(la::ConstMatrixView reference,
-                       const std::vector<std::size_t>& columns,
-                       DriftOptions options) {
-  FSDA_CHECK_MSG(options.bins >= 2, "need at least two PSI bins");
-  FSDA_CHECK_MSG(options.hi > options.lo, "empty PSI range");
+                       const std::vector<std::size_t>& columns) {
   FSDA_CHECK_MSG(reference.rows() > 0, "empty PSI reference");
-  options_ = options;
   columns_ = columns;
-  ref_props_.assign(columns_.size(),
-                    std::vector<double>(options_.bins + 2, 0.0));
+  ref_props_.assign(columns_.size(), std::vector<double>(kBins + 2, 0.0));
   for (std::size_t k = 0; k < columns_.size(); ++k) {
     const std::size_t c = columns_[k];
     FSDA_CHECK_MSG(c < reference.cols(),
@@ -44,11 +50,11 @@ void DriftMonitor::fit(la::ConstMatrixView reference,
           "DriftMonitor::fit: reference column " + std::to_string(c) +
           " has no finite values; cannot build a PSI reference");
     }
-    // Laplace smoothing: every bin keeps at least a min_proportion-sized
+    // Laplace smoothing: every bin keeps at least a kMinProportion-sized
     // pseudo-count, so a batch landing in an empty reference bin scores a
     // large-but-finite PSI contribution instead of relying solely on the
     // psi()-time floor.
-    const double alpha = options_.min_proportion;
+    const double alpha = kMinProportion;
     const double denom =
         1.0 + alpha * static_cast<double>(ref_props_[k].size());
     for (double& p : ref_props_[k]) p = (p / n + alpha) / denom;
@@ -58,7 +64,7 @@ void DriftMonitor::fit(la::ConstMatrixView reference,
 std::vector<double> DriftMonitor::psi(la::ConstMatrixView batch) const {
   FSDA_CHECK_MSG(fitted(), "psi before fit");
   std::vector<double> out(columns_.size(), 0.0);
-  std::vector<double> props(options_.bins + 2);
+  std::vector<double> props(kBins + 2);
   for (std::size_t k = 0; k < columns_.size(); ++k) {
     const std::size_t c = columns_[k];
     FSDA_CHECK_MSG(c < batch.cols(),
@@ -74,8 +80,8 @@ std::vector<double> DriftMonitor::psi(la::ConstMatrixView batch) const {
     if (n == 0.0) continue;  // all-quarantined column: report 0, not NaN
     double value = 0.0;
     for (std::size_t b = 0; b < props.size(); ++b) {
-      const double q = std::max(props[b] / n, options_.min_proportion);
-      const double p = std::max(ref_props_[k][b], options_.min_proportion);
+      const double q = std::max(props[b] / n, kMinProportion);
+      const double p = std::max(ref_props_[k][b], kMinProportion);
       value += (q - p) * std::log(q / p);
     }
     out[k] = value;
@@ -86,7 +92,7 @@ std::vector<double> DriftMonitor::psi(la::ConstMatrixView batch) const {
 std::vector<double> DriftMonitor::ks(la::ConstMatrixView batch) const {
   FSDA_CHECK_MSG(fitted(), "ks before fit");
   std::vector<double> out(columns_.size(), 0.0);
-  std::vector<double> props(options_.bins + 2);
+  std::vector<double> props(kBins + 2);
   for (std::size_t k = 0; k < columns_.size(); ++k) {
     const std::size_t c = columns_[k];
     FSDA_CHECK_MSG(c < batch.cols(),

@@ -10,8 +10,9 @@
 //
 //   PSI(p, q) = sum_b (p_b - q_b) * ln(p_b / q_b)
 //
-// over fixed bins spanning the scaled envelope, with underflow/overflow
-// bins and epsilon-floored proportions.  Rules of thumb: < 0.1 stable,
+// over 16 fixed bins spanning the scaled envelope [-1.5, 1.5] (the
+// pipeline's [-1, 1] plus its clamp margin), with underflow/overflow bins
+// and proportions floored at 1e-4.  Rules of thumb: < 0.1 stable,
 // 0.1-0.25 moderate shift, > 0.25 action needed.
 //
 // DriftMonitor is deliberately matrix-library-light: it reads element
@@ -26,36 +27,24 @@
 
 namespace fsda::obs {
 
-struct DriftOptions {
-  /// Interior bins over [lo, hi]; two outlier bins are added outside.
-  std::size_t bins = 16;
-  /// Scaled-feature envelope; the default covers [-1, 1] plus the
-  /// pipeline's clamp margin.
-  double lo = -1.5;
-  double hi = 1.5;
-  /// Floor applied to bin proportions so empty bins cannot blow up the log.
-  double min_proportion = 1e-4;
-};
-
 /// Caches per-column reference histograms of a (scaled) source matrix and
 /// scores later batches against them with PSI.
 class DriftMonitor {
  public:
   /// Builds reference proportions for the listed columns of `reference`.
-  /// Proportions are Laplace-smoothed with `min_proportion` pseudo-counts so
+  /// Proportions are Laplace-smoothed with floor-sized pseudo-counts so
   /// empty reference bins stay strictly positive (finite PSI even against a
   /// batch concentrated where the reference is empty).  Throws NumericError
   /// when a monitored column has no finite reference value at all -- an
   /// all-NaN column would otherwise produce an all-zero reference that
   /// silently scores every batch as maximally drifted.
   void fit(la::ConstMatrixView reference,
-           const std::vector<std::size_t>& columns, DriftOptions options = {});
+           const std::vector<std::size_t>& columns);
 
   [[nodiscard]] bool fitted() const { return !ref_props_.empty(); }
   [[nodiscard]] const std::vector<std::size_t>& columns() const {
     return columns_;
   }
-  [[nodiscard]] const DriftOptions& options() const { return options_; }
 
   /// PSI of each monitored column of `batch` (full-width matrix; the
   /// monitor indexes its own columns) against the reference, in
@@ -70,10 +59,6 @@ class DriftMonitor {
   [[nodiscard]] std::vector<double> ks(la::ConstMatrixView batch) const;
 
  private:
-  /// Bin index of value v: 0 = underflow, 1..bins = interior, bins+1 = over.
-  [[nodiscard]] std::size_t bin_of(double v) const;
-
-  DriftOptions options_;
   std::vector<std::size_t> columns_;
   /// Per monitored column: bins + 2 reference proportions.
   std::vector<std::vector<double>> ref_props_;

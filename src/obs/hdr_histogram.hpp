@@ -1,12 +1,12 @@
 // fsda::obs -- HDR-style log-linear latency histograms (DESIGN.md §14).
 //
-// The fixed-bucket obs::Histogram answers "how many under 10 ms"; serving
-// and training hot paths need "what is p99.9" with a *guaranteed* error
-// bound, mergeable across shards and time windows.  An HdrHistogram covers
-// [min_value, max_value] with log-linear buckets: each power-of-two range
-// is split into 2^sub_bucket_bits equal-width sub-buckets, so any recorded
-// value lands in a bucket whose width is at most value / 2^sub_bucket_bits
-// and a quantile query answering with the bucket midpoint is within
+// Serving and training hot paths need "what is p99.9" with a *guaranteed*
+// error bound, mergeable across shards and time windows.  An HdrHistogram
+// covers [min_value, max_value] with log-linear buckets: each power-of-two
+// range is split into 2^sub_bucket_bits equal-width sub-buckets, so any
+// recorded value lands in a bucket whose width is at most
+// value / 2^sub_bucket_bits and a quantile query answering with the bucket
+// midpoint is within
 //
 //   relative error <= 1 / 2^(sub_bucket_bits + 1)
 //
@@ -18,7 +18,7 @@
 //
 // record() is wait-free -- one relaxed fetch_add on the bucket plus one on
 // a sharded sum cell -- and gated by the same process-wide telemetry flag
-// as Counter/Histogram, so counts are EXACT under concurrency and the
+// as Counter, so counts are EXACT under concurrency and the
 // disabled cost is one relaxed load.  Reads scan the bucket array; they
 // are monotonic, not linearizable, which is all a quantile query needs.
 #pragma once

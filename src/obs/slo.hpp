@@ -100,8 +100,9 @@ class SloTracker {
   Gauge* burn_gauge_ = nullptr;
 };
 
-/// Process-wide tracker for the serving path (FsGanPipeline::predict_proba
-/// records every batch's latency here).  Leaked singleton.
+/// Process-wide tracker for the serving path
+/// (FsGanPipeline::predict_proba_serve records every daemon batch's latency
+/// here).  Leaked singleton.
 [[nodiscard]] SloTracker& serving_slo();
 
 /// Replaces the serving tracker's configuration (drops its window).  Call

@@ -14,11 +14,20 @@ namespace fsda::serve {
 
 namespace {
 
-/// Queue-wait window epoch; with the default 8 epochs the policy sees a
-/// ~2 s sliding window, long enough to smooth scheduling jitter and short
-/// enough to track a load swing within a couple of seconds.
+/// Queue-wait telemetry window: 8 epochs of 250 ms give a ~2 s sliding
+/// window, long enough to smooth scheduling jitter and short enough to
+/// track a load swing within a couple of seconds.  The cached p90 is
+/// refreshed every 32 dequeues (merging the window on every batch would
+/// put an O(buckets) scan on the hot path).
 constexpr std::uint64_t kWaitEpochNs = 250ull * 1000 * 1000;
+constexpr std::size_t kWaitWindowEpochs = 8;
+constexpr double kWaitQuantile = 0.9;
+constexpr std::uint64_t kWaitRefreshEvery = 32;
 
+constexpr std::size_t kQueueShards = 4;
+
+/// Worker w's reconstruction-noise stream is seeded kSeed + w * kSeedStride.
+constexpr std::uint64_t kSeed = 0x5eedULL;
 constexpr std::uint64_t kSeedStride = 0x9e3779b97f4a7c15ULL;
 
 obs::Counter& shed_counter(const char* reason) {
@@ -32,12 +41,10 @@ obs::Counter& shed_counter(const char* reason) {
 ServeDaemon::ServeDaemon(core::FsGanPipeline& pipeline, ServeOptions options)
     : pipeline_(pipeline),
       options_(options),
-      queue_(options.queue_shards),
-      wait_hdr_(options.wait_window_epochs == 0 ? 1
-                                                : options.wait_window_epochs) {
+      queue_(kQueueShards),
+      wait_hdr_(kWaitWindowEpochs) {
   FSDA_CHECK_MSG(pipeline_.is_trained(), "ServeDaemon over untrained pipeline");
   if (options_.workers == 0) options_.workers = 1;
-  if (options_.wait_refresh_every == 0) options_.wait_refresh_every = 1;
   wait_epoch_ns_.store(obs::FlightRecorder::global().now_ns(),
                        std::memory_order_relaxed);
 }
@@ -130,28 +137,25 @@ Admission ServeDaemon::submit(la::Matrix x, std::uint64_t request_id,
 void ServeDaemon::refresh_wait_quantile() {
   const obs::HdrHistogram merged = wait_hdr_.merged();
   recent_wait_ms_.store(
-      merged.count() > 0 ? merged.value_at_quantile(options_.wait_quantile)
+      merged.count() > 0 ? merged.value_at_quantile(kWaitQuantile)
                          : 0.0,
       std::memory_order_relaxed);
 }
 
 void ServeDaemon::worker_main(std::size_t worker_index) {
-  auto slot = pipeline_.create_serve_slot(options_.seed +
-                                          worker_index * kSeedStride);
-  const std::size_t reserve =
-      std::max(options_.reserve_rows, options_.batch.max_batch_rows);
-  pipeline_.reserve_serve_slot(*slot, reserve);
+  auto slot = pipeline_.create_serve_slot(kSeed + worker_index * kSeedStride);
+  pipeline_.reserve_serve_slot(*slot, options_.max_batch_rows);
 
   la::Matrix batch_x;
   la::Matrix batch_proba;
   std::vector<std::unique_ptr<Request>> batch;
-  batch.reserve(options_.batch.max_batch_rows);
+  batch.reserve(options_.max_batch_rows);
 
   for (;;) {
     batch.clear();
     if (queue_.pop(batch, 1) == 0) break;  // closed and drained
 
-    // Queue wait of the head request drives the batch policy.
+    // Queue wait of the head request (telemetry: recent_wait_ms()).
     const std::uint64_t now = obs::FlightRecorder::global().now_ns();
     const double head_wait_ms =
         static_cast<double>(now - batch.front()->enqueue_ns) / 1e6;
@@ -168,20 +172,17 @@ void ServeDaemon::worker_main(std::size_t worker_index) {
       wait_hdr_.rotate();
       refresh_wait_quantile();
     } else if (dequeues_.fetch_add(1, std::memory_order_relaxed) %
-                   options_.wait_refresh_every ==
+                   kWaitRefreshEvery ==
                0) {
       refresh_wait_quantile();
     }
 
     // Greedy coalescing: take whole queued requests while the batch is
-    // below target.  Never waits -- rows that have not arrived cannot
-    // reduce anyone's latency.  A multi-row request may overshoot the
-    // target; the cap is advisory, correctness never depends on it.
+    // below the row cap.  Never waits -- rows that have not arrived cannot
+    // reduce anyone's latency.  A multi-row request may overshoot the cap;
+    // correctness never depends on it.
     std::size_t rows = batch.front()->x.rows();
-    const std::size_t target = target_batch_rows(
-        queue_.depth() + rows, recent_wait_ms(), options_.batch);
-    while (rows < target) {
-      if (queue_.try_pop(batch, 1) == 0) break;
+    while (rows < options_.max_batch_rows && queue_.try_pop(batch, 1) != 0) {
       const std::uint64_t w_ns =
           obs::FlightRecorder::global().now_ns() - batch.back()->enqueue_ns;
       wait_hdr_.record_always(static_cast<double>(w_ns) / 1e6);

@@ -16,14 +16,14 @@
 //
 // Each worker owns one FsGanPipeline::ServeSlot (pinned generation
 // snapshot + session context + private buffers): it blocks on the queue,
-// measures the first request's queue wait into a WindowedHdr, asks the
-// pure batch policy for a target size, greedily coalesces whole queued
-// requests up to that target (never waiting for rows that have not
-// arrived), concatenates them into its reusable batch matrix, and runs ONE
-// predict_proba_serve call -- which takes one acquire load on the model
-// registry, so a drift-loop hot-swap lands transparently on batch
-// boundaries.  Responses are sliced back per request and delivered through
-// the completion callbacks on the worker thread.
+// records the first request's queue wait into a WindowedHdr (telemetry),
+// greedily takes whole queued requests until the batch holds
+// max_batch_rows rows or the queue is empty (never waiting for rows that
+// have not arrived), concatenates them into its reusable batch matrix,
+// and runs ONE predict_proba_serve call -- which takes one acquire load on
+// the model registry, so a drift-loop hot-swap lands transparently on
+// batch boundaries.  Responses are sliced back per request and delivered
+// through the completion callbacks on the worker thread.
 //
 // The daemon is front-end agnostic: submit() is the whole ingress API.
 // The Unix-socket listener (serve/uds.hpp) is one front-end; tests and the
@@ -41,7 +41,6 @@
 #include "core/pipeline.hpp"
 #include "la/matrix.hpp"
 #include "obs/hdr_histogram.hpp"
-#include "serve/batch_policy.hpp"
 #include "serve/sharded_queue.hpp"
 #include "serve/wire.hpp"
 
@@ -50,10 +49,10 @@ namespace fsda::serve {
 struct ServeOptions {
   /// Inference worker threads (each with its own ServeSlot).
   std::size_t workers = 2;
-  /// Request-queue shards.
-  std::size_t queue_shards = 4;
-  /// Micro-batch sizing policy.
-  BatchPolicyOptions batch;
+  /// Coalescing row cap: a worker takes whole queued requests while its
+  /// batch holds fewer rows than this, and every worker slot pre-sizes for
+  /// it.  One request may overshoot the cap; it is never split.
+  std::size_t max_batch_rows = 64;
   /// Admission: shed (ShedQueueFull) when queue depth reaches this.
   std::size_t max_queue_depth = 512;
   /// Admission: shed (ShedSlo) when the serving SLO's error-budget burn
@@ -62,19 +61,6 @@ struct ServeOptions {
   /// SLO shedding only applies at/above this queue depth -- a burn-rate
   /// window poisoned by a past overload must not shed an idle daemon.
   std::size_t slo_shed_min_depth = 4;
-  /// Rows every worker slot pre-sizes for (and the coalescing row cap
-  /// inherits max_batch_rows, so keep reserve_rows >= max_batch_rows).
-  std::size_t reserve_rows = 64;
-  /// Epochs in the queue-wait sliding window.
-  std::size_t wait_window_epochs = 8;
-  /// Queue-wait quantile the batch policy consumes.
-  double wait_quantile = 0.9;
-  /// Refresh the cached wait quantile every this many dequeues (merging
-  /// the window on every batch would put an O(buckets) scan on the hot
-  /// path).
-  std::size_t wait_refresh_every = 32;
-  /// Base seed for the workers' reconstruction-noise streams.
-  std::uint64_t seed = 0x5eedULL;
 };
 
 /// Admission verdict for one submit().
@@ -143,7 +129,7 @@ class ServeDaemon {
   [[nodiscard]] Stats stats() const;
 
   [[nodiscard]] std::size_t queue_depth() const { return queue_.depth(); }
-  /// The cached recent queue-wait quantile (ms) the policy is seeing.
+  /// Cached p90 of recent queue waits (ms), telemetry only.
   [[nodiscard]] double recent_wait_ms() const {
     return recent_wait_ms_.load(std::memory_order_relaxed);
   }

@@ -18,8 +18,8 @@
 // Blocking waits go through one shared condition variable -- waiting is
 // the cold path (a worker only sleeps when the queue is EMPTY, where
 // contention is definitionally absent), so the cv does not shard.
-// depth() is one relaxed atomic load, which is what admission control and
-// the batch policy consume on their hot paths.
+// depth() is one relaxed atomic load, which is what admission control
+// consumes on its hot path.
 #pragma once
 
 #include <atomic>

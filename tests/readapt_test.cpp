@@ -243,46 +243,15 @@ TEST(FnodeWarmStartTest, FullFidelityEqualsColdSearch) {
 
   causal::FNodeSeed seed;
   seed.sepsets = cold.sepsets;
-  causal::FNodeOptions warm_o = cold_o;
-  warm_o.warm = causal::WarmStart::Full;
   const causal::FNodeResult warm =
-      causal::find_intervention_targets(fx.source, fx.target, warm_o, &seed);
+      causal::find_intervention_targets(fx.source, fx.target, cold_o, &seed);
 
-  // Full fidelity: the partition (and every separating set) is IDENTICAL
-  // to the cold run, and at least one probe short-circuited its level
-  // enumeration.
+  // The partition (and every separating set) is IDENTICAL to the cold
+  // run, and at least one probe short-circuited its level enumeration.
   EXPECT_EQ(warm.variant, cold.variant);
   EXPECT_EQ(warm.invariant, cold.invariant);
   EXPECT_EQ(warm.sepsets, cold.sepsets);
   EXPECT_GE(warm.warm_reconfirmed, 1u);
-
-  // A warm run without a seed is exactly the cold run.
-  const causal::FNodeResult unseeded =
-      causal::find_intervention_targets(fx.source, fx.target, warm_o);
-  EXPECT_EQ(unseeded.variant, cold.variant);
-  EXPECT_EQ(unseeded.ci_tests_performed, cold.ci_tests_performed);
-}
-
-TEST(FnodeWarmStartTest, BudgetedModeReturnsCompletePartition) {
-  const FnodeFixture fx;
-  const causal::FNodeResult cold = causal::find_intervention_targets(
-      fx.source, fx.target, FnodeFixture::options());
-
-  causal::FNodeSeed seed;
-  seed.sepsets = cold.sepsets;
-  causal::FNodeOptions o = FnodeFixture::options();
-  o.warm = causal::WarmStart::Budgeted;
-  o.warm_budget = 2;
-  const causal::FNodeResult warm =
-      causal::find_intervention_targets(fx.source, fx.target, o, &seed);
-  EXPECT_EQ(warm.variant.size() + warm.invariant.size(), 6u);
-  EXPECT_GE(warm.warm_reconfirmed, 1u);
-  // The bounded search may deviate, but on this clear-cut fixture the
-  // strongly shifted features must still be detected.
-  for (std::size_t f : {std::size_t{1}, std::size_t{3}}) {
-    EXPECT_NE(std::find(warm.variant.begin(), warm.variant.end(), f),
-              warm.variant.end());
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -462,9 +431,7 @@ TEST(ReadaptPipelineTest, WarmContextReusesBuildsAndKeepsScalerBitwise) {
   // reproduce the active partition, so the skeleton seed applies, the
   // reconstructor warm-starts, and the assembly/drift-monitor are reused.
   core::ReadaptContext ctx;
-  ctx.warm_skeleton = causal::WarmStart::Full;
-  ctx.warm_reconstructor = true;
-  ctx.reuse_builds = true;
+  ctx.warm = true;
   const core::CandidateOutcome warm =
       pipeline.build_candidate_generation(fx.shots, fast_fs(), ctx);
   ASSERT_NE(warm.generation, nullptr) << warm.reason;

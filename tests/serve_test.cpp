@@ -1,8 +1,8 @@
-// Tests for the serving subsystem (src/serve/): the pure micro-batch
-// sizing policy against exact oracles, wire-format round-trips and
-// malformed-stream rejection (including a seeded mutation fuzz), MPMC
+// Tests for the serving subsystem (src/serve/): wire-format round-trips
+// and malformed-stream rejection (including a seeded mutation fuzz), MPMC
 // accounting and the depth-ordering regression on the sharded request
-// queue, daemon admission control (typed sheds), the end-to-end
+// queue, greedy coalescing up to the row cap, daemon admission control
+// (typed sheds) and the serving SLO it reads, the end-to-end
 // integration run with mid-flight model hot-swaps, serving and validating
 // generations whose session stages are all opaque (RF + VAE), and a
 // Unix-socket front-end smoke test.
@@ -14,6 +14,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
+#include <latch>
 #include <mutex>
 #include <set>
 #include <string>
@@ -30,7 +31,6 @@
 #include "models/factory.hpp"
 #include "models/neural.hpp"
 #include "obs/slo.hpp"
-#include "serve/batch_policy.hpp"
 #include "serve/daemon.hpp"
 #include "serve/sharded_queue.hpp"
 #include "serve/uds.hpp"
@@ -40,62 +40,10 @@ namespace fsda {
 namespace {
 
 using serve::Admission;
-using serve::BatchPolicyOptions;
 using serve::Frame;
 using serve::FrameReader;
 using serve::FrameType;
-using serve::target_batch_rows;
 using serve::WireError;
-
-// ---------------------------------------------------------------------------
-// Batch policy
-// ---------------------------------------------------------------------------
-
-TEST(BatchPolicyTest, LightLoadStaysAtMinimum) {
-  const BatchPolicyOptions opt;  // min 1, max 64, low 0.5 ms, high 8 ms
-  EXPECT_EQ(target_batch_rows(0, 0.0, opt), 1u);
-  EXPECT_EQ(target_batch_rows(1, 0.0, opt), 1u);
-  EXPECT_EQ(target_batch_rows(0, opt.wait_low_ms, opt), 1u);  // inclusive
-}
-
-TEST(BatchPolicyTest, SaturatedWaitsHitTheCap) {
-  const BatchPolicyOptions opt;
-  EXPECT_EQ(target_batch_rows(0, opt.wait_high_ms, opt), 64u);
-  EXPECT_EQ(target_batch_rows(3, 1000.0, opt), 64u);
-}
-
-TEST(BatchPolicyTest, MidPressureInterpolatesLinearly) {
-  const BatchPolicyOptions opt;
-  // Halfway between low (0.5) and high (8.0): f = 0.5, so the target is
-  // 1 + round(63 * 0.5) = 33.
-  EXPECT_EQ(target_batch_rows(0, 4.25, opt), 33u);
-  // A quarter of the way: 1 + round(63 * 0.25) = 17.
-  EXPECT_EQ(target_batch_rows(0, 2.375, opt), 17u);
-}
-
-TEST(BatchPolicyTest, QueueDepthRaisesTargetBeforeWaitWindowReacts) {
-  const BatchPolicyOptions opt;
-  // Cold wait window, deep queue: drain the backlog (up to the cap).
-  EXPECT_EQ(target_batch_rows(10, 0.0, opt), 10u);
-  EXPECT_EQ(target_batch_rows(64, 0.0, opt), 64u);
-  EXPECT_EQ(target_batch_rows(1000, 0.0, opt), 64u);
-}
-
-TEST(BatchPolicyTest, DegenerateRangesClampSafely) {
-  BatchPolicyOptions opt;
-  opt.min_batch_rows = 1;
-  opt.max_batch_rows = 1;  // micro-batching disabled
-  EXPECT_EQ(target_batch_rows(50, 100.0, opt), 1u);
-
-  opt.min_batch_rows = 0;  // zero floor is bumped to 1
-  opt.max_batch_rows = 8;
-  EXPECT_EQ(target_batch_rows(0, 0.0, opt), 1u);
-
-  opt.min_batch_rows = 4;
-  opt.max_batch_rows = 4;
-  EXPECT_EQ(target_batch_rows(0, 0.0, opt), 4u);
-  EXPECT_EQ(target_batch_rows(100, 100.0, opt), 4u);
-}
 
 // ---------------------------------------------------------------------------
 // Wire format
@@ -525,6 +473,88 @@ TEST(ServeDaemonTest, ServesSingleAndMultiRowRequests) {
             Admission::ShuttingDown);
   EXPECT_EQ(serve::to_wire_error(Admission::ShuttingDown),
             WireError::ShuttingDown);
+}
+
+/// Runs one worker whose first request's callback parks it (callbacks run
+/// on the worker) while `queued` requests of `rows_each` rows pile up
+/// behind it, then releases it and returns the daemon's stats after the
+/// queue has drained.
+serve::ServeDaemon::Stats serve_behind_parked_worker(
+    core::FsGanPipeline& pipeline, std::size_t max_batch_rows,
+    std::size_t queued, std::size_t rows_each) {
+  serve::ServeOptions opt;
+  opt.workers = 1;
+  opt.max_batch_rows = max_batch_rows;
+  opt.shed_burn_rate = 0.0;  // admission must not depend on earlier tests
+  serve::ServeDaemon daemon(pipeline, opt);
+  daemon.start();
+
+  const la::Matrix test = make_target(306).x;
+  const auto rows = [&](std::size_t n) {
+    la::Matrix x(n, test.cols());
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = 0; c < test.cols(); ++c) x(r, c) = test(r, c);
+    }
+    return x;
+  };
+  std::latch parked(1);
+  std::latch release(1);
+  EXPECT_EQ(daemon.submit(rows(1), 0,
+                          [&](serve::ServeResult&&) {
+                            parked.count_down();
+                            release.wait();
+                          }),
+            Admission::Accepted);
+  parked.wait();
+  for (std::size_t i = 0; i < queued; ++i) {
+    EXPECT_EQ(daemon.submit(rows(rows_each), i + 1, nullptr),
+              Admission::Accepted);
+  }
+  release.count_down();
+  daemon.stop();  // serves what is queued, then joins the worker
+  return daemon.stats();
+}
+
+TEST(ServeDaemonTest, GreedyCoalescingTakesQueuedRequestsUpToTheRowCap) {
+  core::FsGanPipeline pipeline = make_trained_pipeline(6);
+
+  // Ten queued 1-row requests fit under the default cap: one batch.
+  serve::ServeDaemon::Stats s =
+      serve_behind_parked_worker(pipeline, 64, 10, 1);
+  EXPECT_EQ(s.completed, 11u);
+  EXPECT_EQ(s.batches, 2u);
+  EXPECT_EQ(s.batched_rows, 11u);
+
+  // A 1-row cap disables coalescing.
+  s = serve_behind_parked_worker(pipeline, 1, 10, 1);
+  EXPECT_EQ(s.completed, 11u);
+  EXPECT_EQ(s.batches, 11u);
+  EXPECT_EQ(s.batched_rows, 11u);
+
+  // A request that fills the cap alone is never merged with the next.
+  s = serve_behind_parked_worker(pipeline, 64, 2, 64);
+  EXPECT_EQ(s.completed, 3u);
+  EXPECT_EQ(s.batches, 3u);
+  EXPECT_EQ(s.batched_rows, 129u);
+}
+
+TEST(ServeSloTest, OnlyTheServePathFeedsTheAdmissionSlo) {
+  core::FsGanPipeline pipeline = make_trained_pipeline(6);
+  obs::configure_serving_slo(obs::SloOptions{});  // empty window
+  const la::Matrix test = make_target(306).x;
+  la::Matrix proba;
+
+  // Offline scoring (evaluation, drift-loop batches) stays out of the
+  // signal the daemon sheds on.
+  pipeline.predict_proba_into(test, proba);
+  pipeline.predict_proba_into(test, proba);
+  EXPECT_EQ(obs::serving_slo().window_total(), 0u);
+
+  auto slot = pipeline.create_serve_slot(1);
+  pipeline.predict_proba_serve(test, proba, *slot);
+  EXPECT_EQ(obs::serving_slo().window_total(), 1u);
+  pipeline.predict_proba_serve(test, proba, *slot);
+  EXPECT_EQ(obs::serving_slo().window_total(), 2u);
 }
 
 TEST(ServeDaemonTest, MalformedRequestsAnswerBadFrameSynchronously) {

@@ -20,7 +20,7 @@
 //       FSDA_TRACE).
 //   fsda_cli serve [5gc|5gipc] [--socket <path>] [--workers N] ...
 //       Train an FS+GAN pipeline and run the concurrent serving daemon on
-//       a unix socket: sharded request queue, adaptive micro-batching,
+//       a unix socket: sharded request queue, greedy micro-batching,
 //       admission control (see DESIGN.md §15 for the wire format).  Stops
 //       on Ctrl-C or a client shutdown frame.
 //   fsda_cli client <socket> [ping|shutdown|load] [--requests N] [--rows N]
@@ -287,7 +287,7 @@ int cmd_serve(int argc, char** argv) {
     if (arg == "--socket") socket_path = argv[i + 1];
     else if (arg == "--workers") sopt.workers = std::stoul(argv[i + 1]);
     else if (arg == "--max-batch")
-      sopt.batch.max_batch_rows = std::stoul(argv[i + 1]);
+      sopt.max_batch_rows = std::stoul(argv[i + 1]);
     else if (arg == "--queue-depth")
       sopt.max_queue_depth = std::stoul(argv[i + 1]);
     else if (arg == "--slo-ms") slo_ms = std::stod(argv[i + 1]);
@@ -321,11 +321,10 @@ int cmd_serve(int argc, char** argv) {
     daemon.stop();
     return 1;
   }
-  std::printf("fsda serve: listening on %s (%zu workers, batch %zu..%zu, "
+  std::printf("fsda serve: listening on %s (%zu workers, row cap %zu, "
               "queue cap %zu, SLO %.1f ms)\n",
               socket_path.c_str(), daemon.options().workers,
-              sopt.batch.min_batch_rows, sopt.batch.max_batch_rows,
-              sopt.max_queue_depth, slo_ms);
+              sopt.max_batch_rows, sopt.max_queue_depth, slo_ms);
   std::printf("stop with `fsda_cli client %s shutdown` or Ctrl-C\n",
               socket_path.c_str());
   std::signal(SIGINT, serve_sigint_handler);

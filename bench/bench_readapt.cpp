@@ -7,10 +7,10 @@
 // partition -- the steady-state regime the warm path is built for: the
 // F-node search runs from the adaptation buffer's incremental Gram
 // statistics with the previous generation's separating sets as a skeleton
-// seed, the CGAN refits from the previous weights under the reduced
-// warm-epoch budget, and the generation build cache reuses the assembly
-// map and drift monitor.  The cold run is the identical pipeline and
-// stream with `warm_readapt` off.
+// seed, the active CGAN is reused without a refit (the partition is
+// unchanged), and the generation build cache reuses the assembly map and
+// drift monitor.  The cold run is the identical pipeline and stream with
+// `warm_readapt` off, so every cycle refits the CGAN.
 //
 // The loop runs in synchronous mode (background=false), so each recovery
 // is one inline build+validate inside the triggering serve() call and the
@@ -21,10 +21,11 @@
 // Output: one JSON line to BENCH_readapt.json (p50 and mean recovery per
 // mode, per-stage totals, speedup) and a Perfetto trace covering both runs
 // to BENCH_readapt_trace.json.  The process exits non-zero when a cycle
-// fails to promote, the warm run never engages the fast path, or the warm
-// p50 recovery is not at least 1.2x faster than cold (a CI-safe floor; the
-// measured speedup on the reference layouts is recorded in
-// EXPERIMENTS.md).  FSDA_SMOKE=1 shrinks the dataset and cycle budget.
+// fails to promote, the warm run never reuses a reconstructor, the cold
+// run reuses one, or the warm p50 recovery is not at least 5x faster than
+// cold (a CI-safe floor; the measured speedup on the reference layouts is
+// recorded in EXPERIMENTS.md).  FSDA_SMOKE=1 shrinks the dataset and cycle
+// budget.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -187,8 +188,8 @@ struct ModeResult {
   std::uint64_t warm_attempts = 0;
   std::uint64_t rejections = 0;
   double train_seconds = 0.0;
-  bool recon_warm_seen = false;  ///< any measured cycle promoted a
-                                 ///< warm-started reconstructor
+  bool recon_reused_seen = false;  ///< a measured cycle's promotion kept
+                                   ///< the previous reconstructor
   obs::Journal journal;
 };
 
@@ -276,7 +277,7 @@ int main() {
     // Two batches: at trigger time (patience = 2) the ring has evicted every
     // pre-drift row, so each cycle's candidate search sees a pure
     // current-domain sample and rediscovers the same partition -- the
-    // steady-state the warm reconstructor + build cache key on.
+    // steady-state the reconstructor reuse + build cache key on.
     lo.buffer_capacity = 2 * kBatchRows;
     lo.min_adaptation_samples = 64;
     lo.fs = options.fs;
@@ -297,11 +298,12 @@ int main() {
       loop.serve(d.x, d.y, proba);
     }
 
-    // One drift -> recover cycle; returns whether the promoted generation's
-    // reconstructor was warm-started.
+    // One drift -> recover cycle; returns whether the promoted generation
+    // kept the previous active generation's reconstructor.
     auto run_cycle = [&](std::size_t cycle, std::size_t domain,
                          const char* tag) -> bool {
       const std::uint64_t before = loop.stats().promotions;
+      const core::GenerationPtr previous = pipeline.active_generation();
       std::size_t served = 0;
       while (loop.stats().promotions == before && served < cycle_cap) {
         const data::Dataset d = stream.batch(domain);
@@ -311,14 +313,14 @@ int main() {
       expect(loop.stats().promotions > before,
              std::string(tag) + " cycle " + std::to_string(cycle) + " (" +
                  (warm ? "warm" : "cold") + ") never promoted");
-      bool recon_warm = false;
+      bool recon_reused = false;
       if (const auto gen = pipeline.active_generation()) {
-        recon_warm = gen->reconstructor != nullptr &&
-                     gen->reconstructor->warm_started();
+        recon_reused = gen != previous && gen->reconstructor != nullptr &&
+                       gen->reconstructor == previous->reconstructor;
         std::printf("  %s cycle %zu (%s): promoted in %zu batch(es), "
-                    "%zu variant, recon warm=%d\n",
+                    "%zu variant, recon reused=%d\n",
                     tag, cycle, warm ? "warm" : "cold", served,
-                    gen->separation.variant.size(), recon_warm);
+                    gen->separation.variant.size(), recon_reused);
       }
       // Settle on the new regime: probation passes, the detector
       // rebaselines, and the loop returns to Stable before the next flip.
@@ -326,11 +328,11 @@ int main() {
         const data::Dataset d = stream.batch(domain);
         loop.serve(d.x, d.y, proba);
       }
-      return recon_warm;
+      return recon_reused;
     };
 
     // Burn-in: the first recovery after training changes the partition (the
-    // trained target's variant set -> the drift regime's), so it is cold in
+    // trained target's variant set -> the drift regime's), so it refits in
     // both modes by construction.  It runs unrecorded; the measured cycles
     // below are the steady state -- repeat drift on a known feature set --
     // that the fast path targets.
@@ -339,8 +341,8 @@ int main() {
     recorder.reset();
     recorder.set_enabled(true);
     for (std::size_t cycle = 0; cycle < cycles; ++cycle) {
-      const bool recon_warm = run_cycle(cycle, 3 - (cycle % 2), "measured");
-      res.recon_warm_seen = res.recon_warm_seen || recon_warm;
+      const bool recon_reused = run_cycle(cycle, 3 - (cycle % 2), "measured");
+      res.recon_reused_seen = res.recon_reused_seen || recon_reused;
     }
     loop.drain();
     recorder.set_enabled(false);
@@ -372,9 +374,9 @@ int main() {
   expect(warm.promotions >= cycles, "warm run missed promotions");
   expect(cold.warm_attempts == 0, "cold run took the warm path");
   expect(warm.warm_attempts >= 1, "warm run never engaged the fast path");
-  expect(!cold.recon_warm_seen, "cold run warm-started a reconstructor");
-  expect(warm.recon_warm_seen,
-         "warm run never warm-started a reconstructor in steady state");
+  expect(!cold.recon_reused_seen, "cold run reused a reconstructor");
+  expect(warm.recon_reused_seen,
+         "warm run never reused a reconstructor in steady state");
   expect(cold.times.recover_ms.size() >= cycles,
          "journal missed cold trigger->promote spans");
   expect(warm.times.recover_ms.size() >= cycles,
@@ -386,7 +388,7 @@ int main() {
   // CI-safe floor -- the measured speedup is far higher (EXPERIMENTS.md);
   // gating at the headline number would make the bench flaky on loaded
   // shared runners.
-  expect(speedup >= 1.2, "warm recovery not at least 1.2x faster than cold");
+  expect(speedup >= 5.0, "warm recovery not at least 5x faster than cold");
 
   auto report = [](const char* label, const ModeResult& r, double p) {
     std::printf(

@@ -3,7 +3,6 @@
 #include "core/corruption.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 
 #include "common/error.hpp"
@@ -129,45 +128,6 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
   generator_ = make_generator(init_rng);
   discriminator_ = make_discriminator(init_rng);
 
-  // Warm start (one-shot, DESIGN.md §16): the networks above were built
-  // normally -- consuming init_rng in the exact cold order -- and only then
-  // are the previous generation's weights restored over them, so a fit with
-  // no warm request is bit-identical to the pre-warm-start trajectory.  A
-  // shape mismatch (e.g. a different num_classes changing the discriminator
-  // input width) silently degrades to a cold fit.
-  std::vector<la::Matrix> warm_g = std::move(warm_g_);
-  std::vector<la::Matrix> warm_d = std::move(warm_d_);
-  warm_g_.clear();
-  warm_d_.clear();
-  warm_started_ = false;
-  const auto shapes_match = [](const std::vector<nn::Parameter*>& params,
-                               const std::vector<la::Matrix>& snap) {
-    if (params.size() != snap.size()) return false;
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      if (params[i]->value.rows() != snap[i].rows() ||
-          params[i]->value.cols() != snap[i].cols()) {
-        return false;
-      }
-    }
-    return true;
-  };
-  std::vector<la::Matrix> cold_init;  // fallback target for diverged warm fits
-  if (!warm_g.empty() && shapes_match(generator_->parameters(), warm_g) &&
-      shapes_match(discriminator_->parameters(), warm_d)) {
-    cold_init = capture_parameters(generator_->parameters());
-    for (const nn::Parameter* p : discriminator_->parameters()) {
-      cold_init.push_back(p->value);
-    }
-    restore_parameters(generator_->parameters(), warm_g);
-    restore_parameters(discriminator_->parameters(), warm_d);
-    warm_started_ = true;
-  }
-  const std::size_t warm_budget =
-      options_.warm_epochs > 0
-          ? options_.warm_epochs
-          : std::max<std::size_t>(options_.epochs / 4,
-                                  std::min<std::size_t>(options_.epochs, 8));
-
   const la::Matrix y_onehot = one_hot(labels, num_classes);
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
@@ -181,26 +141,6 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
   for (nn::Parameter* p : discriminator_->parameters()) all_params.push_back(p);
   TrainingSentinel sentinel(all_params, options_.retry, options_.divergence,
                             options_.snapshot_every);
-
-  // Warm fits early-stop once the generator's holdout reconstruction MSE
-  // plateaus: a stride sample of the training rows paired with one fixed
-  // noise draw, so successive epochs are scored on identical inputs.  Cold
-  // fits never build (or evaluate) the holdout, preserving their trajectory.
-  la::Matrix hold_in;
-  la::Matrix hold_var;
-  la::Matrix plateau_grad;
-  if (warm_started_) {
-    const std::size_t stride = std::max<std::size_t>(1, n / 256);
-    std::vector<std::size_t> hold_rows;
-    for (std::size_t r = 0; r < n; r += stride) hold_rows.push_back(r);
-    la::Matrix hold_inv;
-    la::select_rows_into(x_inv, hold_rows, hold_inv);
-    la::select_rows_into(x_var, hold_rows, hold_var);
-    common::Rng hold_rng = rng_.split(0x401DULL);
-    la::Matrix hold_noise;
-    sample_noise_into(hold_rows.size(), hold_noise, hold_rng);
-    la::hcat_into(hold_inv, hold_noise, hold_in);
-  }
 
   // Deterministic data-parallel sharding (nn/sharded.hpp): each step pair
   // below is one shard body, run on the master networks for a one-shard
@@ -246,18 +186,7 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
   };
 
   const auto run_attempt = [&] {
-    const bool warm_attempt = warm_started_ && sentinel.health().retries == 0;
-    if (sentinel.health().retries > 0) {
-      rng_ = rng_.split(sentinel.seed_salt());
-      // A diverged warm attempt falls back to the cold initialization: every
-      // retry is an ordinary cold fit with the full epoch budget.
-      if (warm_started_) restore_parameters(all_params, cold_init);
-    }
-    const std::size_t attempt_epochs =
-        warm_attempt ? std::min(warm_budget, options_.epochs)
-                     : options_.epochs;
-    double best_holdout = std::numeric_limits<double>::infinity();
-    std::size_t plateau_streak = 0;
+    if (sentinel.health().retries > 0) rng_ = rng_.split(sentinel.seed_salt());
     const double lr = options_.learning_rate * sentinel.lr_scale();
     nn::Adam g_opt(generator_->parameters(), lr, options_.adam_beta1, 0.999,
                    1e-8, options_.weight_decay);
@@ -265,8 +194,8 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
                    0.999, 1e-8, options_.weight_decay);
 
     history_.clear();
-    history_.reserve(attempt_epochs);
-    for (std::size_t epoch = 0; epoch < attempt_epochs; ++epoch) {
+    history_.reserve(options_.epochs);
+    for (std::size_t epoch = 0; epoch < options_.epochs; ++epoch) {
       telemetry.begin_epoch();
       rng_.shuffle(order);
       GanEpochStats stats;
@@ -389,17 +318,6 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
               epoch, stats.d_loss + stats.g_adv_loss + stats.g_recon_loss)) {
         return;  // diverged; parameters rolled back to last healthy snapshot
       }
-      if (warm_attempt) {
-        const la::Matrix& hold_fake =
-            generator_->forward(hold_in, /*training=*/false, ws_);
-        const double hold_mse = nn::mse_into(hold_fake, hold_var, plateau_grad);
-        if (hold_mse < best_holdout - options_.plateau_min_delta) {
-          best_holdout = hold_mse;
-          plateau_streak = 0;
-        } else if (++plateau_streak >= options_.plateau_patience) {
-          return;  // holdout MSE plateaued: the warm start already converged
-        }
-      }
     }
   };
 
@@ -422,23 +340,6 @@ void ConditionalGAN::fit(const la::Matrix& x_inv, const la::Matrix& x_var,
   }
   telemetry.finish();
   fitted_ = true;
-}
-
-bool ConditionalGAN::warm_start_from(const Reconstructor& previous) {
-  const auto* prev = dynamic_cast<const ConditionalGAN*>(&previous);
-  if (prev == nullptr || !prev->fitted_) return false;
-  // Architecture knobs that shape the parameter tensors must match; the
-  // discriminator width also depends on num_classes, which only fit() sees,
-  // so fit() re-verifies shapes before restoring.
-  if (prev->inv_dim_ != inv_dim_ || prev->var_dim_ != var_dim_ ||
-      prev->noise_dim_ != noise_dim_ ||
-      prev->options_.conditional != options_.conditional ||
-      prev->options_.hidden != options_.hidden) {
-    return false;
-  }
-  warm_g_ = capture_parameters(prev->generator_->parameters());
-  warm_d_ = capture_parameters(prev->discriminator_->parameters());
-  return true;
 }
 
 la::Matrix ConditionalGAN::reconstruct(const la::Matrix& x_inv) {

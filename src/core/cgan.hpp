@@ -57,14 +57,10 @@ struct CganOptions {
   /// master networks train directly), 0 = auto (one shard per pool worker,
   /// each keeping >= 16 rows), N = at most N shards.
   std::size_t train_shards = 1;
-  /// Epoch budget for a warm-started fit (warm_start_from); 0 = auto
-  /// (max(epochs / 4, min(epochs, 8))).  Cold fits always run `epochs`.
-  std::size_t warm_epochs = 0;
-  /// Warm fits stop early once the generator's holdout reconstruction MSE
-  /// has not improved by plateau_min_delta for plateau_patience consecutive
-  /// epochs.  Cold fits never early-stop (trajectory preserved).
+  /// Read by nothing: fits always run `epochs`.  Kept only because the
+  /// repository benchmark (perfbench/perfbench.cpp) still assigns it; delete
+  /// it together with that assignment.
   std::size_t plateau_patience = 4;
-  double plateau_min_delta = 1e-4;
 
   static CganOptions quick();  ///< single-core benchmark budget
   static CganOptions paper();  ///< Section V-C3 budget (500 epochs)
@@ -129,16 +125,6 @@ class ConditionalGAN : public Reconstructor {
     return train_health_.rollbacks;
   }
 
-  /// Captures `previous`'s trained generator + discriminator weights so the
-  /// next fit() resumes from them with the reduced warm_epochs budget and
-  /// plateau early stopping.  Requires `previous` to be a fitted
-  /// ConditionalGAN with identical dimensions, conditioning, and hidden
-  /// widths; returns false (next fit stays cold) otherwise.  When warm-start
-  /// is never requested the fit() trajectory is bit-identical to before this
-  /// feature existed.
-  bool warm_start_from(const Reconstructor& previous) override;
-  [[nodiscard]] bool warm_started() const override { return warm_started_; }
-
  private:
   [[nodiscard]] la::Matrix one_hot(const std::vector<std::int64_t>& labels,
                                    std::size_t num_classes) const;
@@ -153,12 +139,6 @@ class ConditionalGAN : public Reconstructor {
   std::vector<GanEpochStats> history_;
   TrainHealth train_health_;
   bool fitted_ = false;
-
-  // Warm-start request (one-shot, consumed by the next fit): parameter
-  // snapshots of the previous generation's networks, in parameters() order.
-  std::vector<la::Matrix> warm_g_;
-  std::vector<la::Matrix> warm_d_;
-  bool warm_started_ = false;
 
   // Training workspace and persistent mini-batch buffers: capacities are
   // reused across batches/epochs so the steady-state step allocates nothing

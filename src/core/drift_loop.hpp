@@ -219,9 +219,10 @@ struct DriftLoopOptions {
   /// trigger runs warm -- sufficient-statistic FS (the buffer maintains
   /// per-class GramStats incrementally), skeleton warm-start from the
   /// active generation's sepsets (partition identical to a cold search),
-  /// reconstructor warm-start from its weights, and the generation build
-  /// cache.  Any rejection makes the next attempt fully cold (the existing
-  /// fallback ladder), and a promotion re-arms the warm path.
+  /// reuse of its reconstructor when the partition is unchanged, and the
+  /// generation build cache.  Any rejection makes the next attempt fully
+  /// cold (the existing fallback ladder), and a promotion re-arms the warm
+  /// path.
   bool warm_readapt = true;
 };
 

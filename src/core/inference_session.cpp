@@ -312,6 +312,9 @@ void InferenceSession::run(const la::Matrix& x, la::Matrix& proba,
         if (noise != nullptr) {
           gan_->sample_noise_into(rows, c.noise_, *noise);
         } else {
+          // Generations that keep a reused reconstructor share its stream,
+          // and a candidate validates while the active generation serves.
+          std::lock_guard<std::mutex> lk(*opaque_mu_);
           gan_->sample_noise_into(rows, c.noise_);
         }
         la::MatrixView zdst = la::MatrixView(c.g_in_).col_block(inv, nz);

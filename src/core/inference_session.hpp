@@ -20,8 +20,9 @@
 // The session serves the three separation regimes (FS-only /
 // no-reconstructor / full FS+GAN) and reproduces the models' own numerics:
 // the single-caller path draws generator noise from the GAN's own stream in
-// the order reconstruct() would, and the plan forwards match the layer
-// forwards to ~1e-12 under either GEMM kernel.  Health guardrails
+// the order reconstruct() would (under the shared mutex: generations that
+// reuse one reconstructor share that stream), and the plan forwards match
+// the layer forwards to ~1e-12 under either GEMM kernel.  Health guardrails
 // (quarantine, clamp envelope, uniform-row rewrites) wrap the session in
 // the pipeline.
 //
@@ -170,7 +171,8 @@ class InferenceSession {
   ConditionalGAN* gan_ = nullptr;
   Reconstructor* reconstructor_ = nullptr;
   std::size_t var_dim_ = 0;
-  std::shared_ptr<std::mutex> opaque_mu_;  // held by every opaque call
+  // Held by every opaque call and every draw from gan_'s own noise stream.
+  std::shared_ptr<std::mutex> opaque_mu_;
 
   std::vector<std::size_t> cols_;  // gather list (Select: all, Reconstruct: inv)
   AssemblyMap map_;                // Reconstruct: classifier column routing

@@ -132,9 +132,30 @@ double FsGanPipeline::reconstructor_train_seconds() const {
       "pipeline.reconstructor_fit_seconds", 0.0);
 }
 
-std::shared_ptr<Reconstructor> FsGanPipeline::fit_reconstructor_for(
+std::shared_ptr<Reconstructor> FsGanPipeline::reuse_or_fit_reconstructor(
     const SeparationResult& sep, HealthReport& health, std::uint64_t seed,
-    const Reconstructor* warm_from) {
+    const ModelGeneration* reuse) {
+  // Reconstructor reuse (DESIGN.md §16): the reconstructor trains on source
+  // rows only, so it depends on the source, the partition and a seed -- for
+  // an unchanged partition the published one already solves the problem a
+  // refit would.  The MeanImpute fallback is never reused: a fresh fit may
+  // converge where the last one diverged.
+  if (reuse != nullptr && reuse->reconstructor != nullptr &&
+      reuse->separation.invariant == sep.invariant &&
+      reuse->separation.variant == sep.variant &&
+      dynamic_cast<const MeanImputeReconstructor*>(
+          reuse->reconstructor.get()) == nullptr) {
+    health.note_stage("reconstructor_reused", true,
+                      reuse->reconstructor->name() +
+                          " kept from the active generation (partition "
+                          "unchanged)");
+    return reuse->reconstructor;
+  }
+  return fit_reconstructor_for(sep, health, seed);
+}
+
+std::shared_ptr<Reconstructor> FsGanPipeline::fit_reconstructor_for(
+    const SeparationResult& sep, HealthReport& health, std::uint64_t seed) {
   FSDA_SPAN("pipeline.reconstructor_fit");
   if (sep.variant.empty() || sep.invariant.empty()) {
     return nullptr;  // nothing to reconstruct / condition on
@@ -144,11 +165,6 @@ std::shared_ptr<Reconstructor> FsGanPipeline::fit_reconstructor_for(
   const la::Matrix x_var = source_scaled_.select_cols(sep.variant);
   std::shared_ptr<Reconstructor> reconstructor =
       reconstructor_factory_(sep.invariant.size(), sep.variant.size(), seed);
-  if (warm_from != nullptr && reconstructor->warm_start_from(*warm_from)) {
-    health.note_stage("reconstructor_warm_start", true,
-                      reconstructor->name() +
-                          " seeded from the previous generation's weights");
-  }
   bool fit_threw = false;
   std::string fit_error;
   try {
@@ -208,8 +224,9 @@ std::shared_ptr<ModelGeneration> FsGanPipeline::make_generation(
     // on (trained_order_, partition, with_recon) and the drift reference
     // only on (scaled source, variant set), all unchanged -- copy them from
     // the published (hence immutable) previous generation instead of
-    // re-deriving them.  The packed session below still rebuilds: fresh
-    // reconstructor weights need a fresh plan either way.
+    // re-deriving them.  The packed session below still rebuilds, even
+    // around a reused reconstructor: its single-caller context is not
+    // re-entrant, and the candidate validates while the active serves.
     gen->assembly = reuse->assembly;
     gen->drift_monitor = reuse->drift_monitor;
   } else {
@@ -429,9 +446,11 @@ void FsGanPipeline::adapt_to_new_target(const data::Dataset& target_few_shot) {
                        "F-node search hit its deadline; partition is "
                        "best-so-far");
   }
-  std::shared_ptr<Reconstructor> reconstructor =
-      fit_reconstructor_for(fresh, health_, seed_ ^ 0x6EC0ULL);
+  // An unchanged partition keeps the active reconstructor: a refit with
+  // train()'s seed would only recompute the train-time weights.
   const GenerationPtr previous = registry_.active();
+  std::shared_ptr<Reconstructor> reconstructor = reuse_or_fit_reconstructor(
+      fresh, health_, seed_ ^ 0x6EC0ULL, previous.get());
   auto gen = make_generation(std::move(fresh), std::move(reconstructor),
                              "adapt");
   stamp_validation_accuracy(
@@ -496,20 +515,15 @@ CandidateOutcome FsGanPipeline::build_candidate_generation(
     }
     const std::uint64_t salt =
         readapt_seq_.fetch_add(1) + 1;
-    const bool partition_unchanged =
-        active != nullptr &&
-        active->separation.invariant == fresh.invariant &&
-        active->separation.variant == fresh.variant;
-    const Reconstructor* warm_from =
-        ctx.warm && partition_unchanged && active != nullptr
-            ? active->reconstructor.get()
-            : nullptr;
+    // Only a warm attempt may reuse.  Every attempt after a rejection is
+    // cold and refits, so a bad reuse can delay recovery but not block it.
     std::shared_ptr<Reconstructor> reconstructor;
     {
       FSDA_EVENT_SCOPE(obs::EventCategory::Drift, "readapt.refit");
-      reconstructor = fit_reconstructor_for(
+      reconstructor = reuse_or_fit_reconstructor(
           fresh, out.health,
-          seed_ ^ 0x6EC0ULL ^ (salt * 0x9E3779B97F4A7C15ULL), warm_from);
+          seed_ ^ 0x6EC0ULL ^ (salt * 0x9E3779B97F4A7C15ULL),
+          ctx.warm ? active.get() : nullptr);
     }
     {
       FSDA_EVENT_SCOPE(obs::EventCategory::Drift, "readapt.compile");

@@ -115,11 +115,11 @@ struct ReadaptContext {
   /// Warm start from the active generation, three layers together:
   ///  - the F-node search is seeded with its separating sets (the
   ///    partition stays identical to a cold search, causal/fnode.hpp);
-  ///  - when the fresh partition is identical, the reconstructor refit
-  ///    starts from its weights (reduced epoch budget + plateau early
-  ///    stop), and its AssemblyMap and fitted DriftMonitor are copied
-  ///    instead of rebuilt (generations are immutable after publish, so
-  ///    the copies are safe snapshots).
+  ///  - when the fresh partition is identical, its reconstructor is reused
+  ///    without a refit (unless it is the MeanImpute fallback), and its
+  ///    AssemblyMap and fitted DriftMonitor are copied instead of rebuilt
+  ///    (generations are immutable after publish, so the copies are safe
+  ///    snapshots).
   bool warm = false;
 };
 
@@ -140,7 +140,8 @@ class FsGanPipeline {
   /// invariant set).  Publishes a new generation serving the FRESH
   /// partition: the AssemblyMap routes the frozen classifier's trained
   /// input order through it, so a changed partition no longer degrades to
-  /// the stale one.
+  /// the stale one.  An unchanged partition keeps the active generation's
+  /// reconstructor instead of refitting it.
   void adapt_to_new_target(const data::Dataset& target_few_shot);
 
   /// Class probabilities for raw (unscaled) target-domain samples.
@@ -204,7 +205,8 @@ class FsGanPipeline {
 
   /// Builds a fresh candidate generation from new few-shot target rows:
   /// re-runs F-node search under `fs` (use a deadline for bounded response
-  /// time) and refits the reconstructor for the discovered partition.
+  /// time) and refits the reconstructor for the discovered partition, or,
+  /// with `ctx.warm` and an unchanged partition, reuses the active one.
   /// `ctx` supplies pre-assembled target statistics and/or warm-start state
   /// from the active generation.  Emits per-stage journal scopes
   /// (readapt.stats / readapt.search / readapt.refit / readapt.compile) so
@@ -305,11 +307,15 @@ class FsGanPipeline {
  private:
   /// Fits a reconstructor for `sep` (MeanImpute fallback on divergence),
   /// reporting into `health` -- health_ for train/adapt, the candidate's
-  /// own report for background builds.  `seed` salts the fit; `warm_from`
-  /// (optional) requests a warm start from a previous reconstructor.
+  /// own report for background builds.  `seed` salts the fit.
   std::shared_ptr<Reconstructor> fit_reconstructor_for(
+      const SeparationResult& sep, HealthReport& health, std::uint64_t seed);
+  /// `reuse`'s reconstructor when `reuse` is non-null, carries the
+  /// identical partition and a reconstructor that is not the MeanImpute
+  /// fallback; fit_reconstructor_for otherwise.
+  std::shared_ptr<Reconstructor> reuse_or_fit_reconstructor(
       const SeparationResult& sep, HealthReport& health, std::uint64_t seed,
-      const Reconstructor* warm_from = nullptr);
+      const ModelGeneration* reuse);
   /// Assembles an immutable generation: AssemblyMap for the trained order,
   /// inference session (never null), drift reference over the
   /// partition's variant block.  When `reuse` is non-null and carries the

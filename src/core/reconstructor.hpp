@@ -43,20 +43,6 @@ class Reconstructor {
 
   /// Parameter rollbacks performed by divergence recovery.
   [[nodiscard]] virtual std::size_t fit_rollbacks() const { return 0; }
-
-  /// Requests that the NEXT fit() start from `previous`'s trained weights
-  /// instead of a fresh initialization (re-adaptation fast path, DESIGN.md
-  /// §16).  Returns false -- and leaves the next fit() cold -- when the
-  /// model kinds or architectures are incompatible.  One-shot: the request
-  /// is consumed by the next fit(), and a warm attempt that diverges falls
-  /// back to the cold initialization inside the usual retry ladder.
-  virtual bool warm_start_from(const Reconstructor& previous) {
-    (void)previous;
-    return false;
-  }
-
-  /// True when the last fit() actually started from warm weights.
-  [[nodiscard]] virtual bool warm_started() const { return false; }
 };
 
 using ReconstructorPtr = std::unique_ptr<Reconstructor>;

@@ -1,6 +1,7 @@
 #include "data/io.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/csv.hpp"
 #include "common/error.hpp"
@@ -75,9 +76,15 @@ void write_dataset_csv(const std::string& path, const Dataset& dataset,
   dataset.validate();
   common::CsvTable table;
   for (std::size_t c = 0; c < dataset.num_features(); ++c) {
-    table.header.push_back(dataset.feature_names.empty()
-                               ? "f" + std::to_string(c)
-                               : dataset.feature_names[c]);
+    if (!dataset.feature_names.empty()) {
+      table.header.push_back(dataset.feature_names[c]);
+      continue;
+    }
+    // Appended rather than "f" + ...: g++ 12 flags that with a -Wrestrict
+    // false positive in Release builds.
+    std::string name = "f";
+    name += std::to_string(c);
+    table.header.push_back(std::move(name));
   }
   table.header.push_back(label_column);
   table.rows.reserve(dataset.size());

@@ -30,7 +30,14 @@ std::string json_escape(const std::string& s) {
 }
 
 std::string json_string(const std::string& s) {
-  return "\"" + json_escape(s) + "\"";
+  // Appends into one string: operator+ on a literal trips g++ 12's
+  // -Wrestrict false positive in Release builds.
+  std::string out;
+  out.reserve(s.size() + 2);
+  out += '"';
+  out += json_escape(s);
+  out += '"';
+  return out;
 }
 
 std::string json_number(double v) {

@@ -2,19 +2,22 @@
 // Gram-statistic CI engine (incremental vs batch parity, ring eviction,
 // label-shift weighting, the F-node indicator assembly, the near-constant
 // column guard), skeleton warm-start (full-fidelity equality with a cold
-// search), the CGAN warm-start contract, the adaptation buffer's
+// search), reconstructor reuse for an unchanged partition (and its shared
+// noise stream under concurrent validate + serve), the adaptation buffer's
 // incremental per-class statistics, and the drift loop's warm/cold ladder.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "baselines/ours.hpp"
 #include "causal/fnode.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
-#include "core/cgan.hpp"
 #include "core/drift_loop.hpp"
 #include "core/model_registry.hpp"
 #include "core/pipeline.hpp"
@@ -350,11 +353,13 @@ struct LoopFixture {
   data::DomainSplit split;
   data::Dataset shots;
   la::Matrix drifted;
+  la::Matrix drifted_low;  // the same columns pushed below the source range
 
   LoopFixture() {
     split = data::generate_5gc(data::Gen5GCConfig::tiny());
     shots = data::sample_few_shot(split.target_pool, 5, 3);
     drifted = split.target_test.x;
+    drifted_low = split.target_test.x;
     for (std::size_t c = 0; c < 3; ++c) {
       double lo = drifted(0, c), hi = drifted(0, c);
       for (std::size_t r = 0; r < split.source_train.x.rows(); ++r) {
@@ -362,7 +367,10 @@ struct LoopFixture {
         hi = std::max(hi, split.source_train.x(r, c));
       }
       const double push = 2.0 * (hi - lo) + 1.0;
-      for (std::size_t r = 0; r < drifted.rows(); ++r) drifted(r, c) += push;
+      for (std::size_t r = 0; r < drifted.rows(); ++r) {
+        drifted(r, c) += push;
+        drifted_low(r, c) -= push;
+      }
     }
   }
 
@@ -411,45 +419,183 @@ std::vector<std::int64_t> slice_labels(const std::vector<std::int64_t>& y,
   return out;
 }
 
-TEST(ReadaptPipelineTest, WarmContextReusesBuildsAndKeepsScalerBitwise) {
-  const LoopFixture fx;
-  core::FsGanPipeline pipeline = fx.make_pipeline(11);
-  pipeline.train(fx.split.source_train, fx.shots);
+// Candidate builds and validations leave the registry untouched, so these
+// tests share one trained pipeline.
+class ReadaptPipelineTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    fx = std::make_unique<LoopFixture>();
+    pipeline = std::make_unique<core::FsGanPipeline>(fx->make_pipeline(11));
+    pipeline->train(fx->split.source_train, fx->shots);
+  }
+  static void TearDownTestSuite() {
+    pipeline.reset();
+    fx.reset();
+  }
 
+  static core::ValidationOptions permissive() {
+    core::ValidationOptions vo;
+    vo.min_accuracy = 0.0;
+    vo.max_accuracy_drop = 1.0;
+    vo.max_uniform_fraction = 1.0;
+    return vo;
+  }
+
+  static inline std::unique_ptr<LoopFixture> fx;
+  static inline std::unique_ptr<core::FsGanPipeline> pipeline;
+};
+
+TEST_F(ReadaptPipelineTest, WarmContextReusesBuildsAndKeepsScalerBitwise) {
   // Satellite: candidate builds must NOT refit the scaler -- the fitted
   // min/max vectors stay bitwise identical across any number of builds.
-  const la::Matrix mins = pipeline.scaler().mins();
-  const la::Matrix maxs = pipeline.scaler().maxs();
-
-  const core::CandidateOutcome cold =
-      pipeline.build_candidate_generation(fx.shots, fast_fs());
-  ASSERT_NE(cold.generation, nullptr) << cold.reason;
-  EXPECT_TRUE(bitwise_equal(pipeline.scaler().mins(), mins));
-  EXPECT_TRUE(bitwise_equal(pipeline.scaler().maxs(), maxs));
+  const la::Matrix mins = pipeline->scaler().mins();
+  const la::Matrix maxs = pipeline->scaler().maxs();
 
   // Warm context against the active generation: the same few-shot rows
   // reproduce the active partition, so the skeleton seed applies, the
-  // reconstructor warm-starts, and the assembly/drift-monitor are reused.
+  // active reconstructor is reused as is, and the assembly/drift-monitor
+  // are copied.
+  core::ReadaptContext ctx;
+  ctx.warm = true;
+  const core::CandidateOutcome warm =
+      pipeline->build_candidate_generation(fx->shots, fast_fs(), ctx);
+  ASSERT_NE(warm.generation, nullptr) << warm.reason;
+  const core::GenerationPtr active = pipeline->active_generation();
+  EXPECT_EQ(warm.generation->separation.variant, active->separation.variant);
+  ASSERT_NE(warm.generation->reconstructor, nullptr);
+  EXPECT_EQ(warm.generation->reconstructor, active->reconstructor);
+  EXPECT_TRUE(bitwise_equal(pipeline->scaler().mins(), mins));
+  EXPECT_TRUE(bitwise_equal(pipeline->scaler().maxs(), maxs));
+
+  // Warm candidates clear the same validation gate as cold ones.
+  const core::ValidationVerdict verdict =
+      pipeline->validate_generation(warm.generation, permissive());
+  EXPECT_TRUE(verdict.ok) << verdict.reason;
+}
+
+TEST_F(ReadaptPipelineTest, ColdContextRefitsAnUnchangedPartition) {
+  const la::Matrix mins = pipeline->scaler().mins();
+  const la::Matrix maxs = pipeline->scaler().maxs();
+
+  // The default context (warm = false) is every attempt after a
+  // rejection: it refits even though the partition is unchanged.
+  const core::CandidateOutcome cold =
+      pipeline->build_candidate_generation(fx->shots, fast_fs());
+  ASSERT_NE(cold.generation, nullptr) << cold.reason;
+  const core::GenerationPtr active = pipeline->active_generation();
+  EXPECT_EQ(cold.generation->separation.variant, active->separation.variant);
+  ASSERT_NE(cold.generation->reconstructor, nullptr);
+  EXPECT_NE(cold.generation->reconstructor, active->reconstructor);
+  EXPECT_TRUE(bitwise_equal(pipeline->scaler().mins(), mins));
+  EXPECT_TRUE(bitwise_equal(pipeline->scaler().maxs(), maxs));
+}
+
+TEST_F(ReadaptPipelineTest, WarmContextRefitsAChangedPartition) {
+  data::Dataset drifted_shots;
+  drifted_shots.num_classes = fx->split.target_test.num_classes;
+  drifted_shots.x = slice_rows(fx->drifted, 0, 64);
+  drifted_shots.y = slice_labels(fx->split.target_test.y, 0, 64);
+  core::ReadaptContext ctx;
+  ctx.warm = true;
+  const core::CandidateOutcome warm =
+      pipeline->build_candidate_generation(drifted_shots, fast_fs(), ctx);
+  ASSERT_NE(warm.generation, nullptr) << warm.reason;
+  const core::GenerationPtr active = pipeline->active_generation();
+  ASSERT_NE(warm.generation->separation.variant, active->separation.variant);
+  ASSERT_NE(warm.generation->reconstructor, nullptr);
+  EXPECT_NE(warm.generation->reconstructor, active->reconstructor);
+}
+
+TEST_F(ReadaptPipelineTest, ValidateReusedCandidateWhileServing) {
+  core::ReadaptContext ctx;
+  ctx.warm = true;
+  const core::CandidateOutcome reused =
+      pipeline->build_candidate_generation(fx->shots, fast_fs(), ctx);
+  ASSERT_NE(reused.generation, nullptr) << reused.reason;
+  ASSERT_EQ(reused.generation->reconstructor,
+            pipeline->active_generation()->reconstructor);
+
+  // The candidate's validation (on a second thread, as the drift loop's
+  // worker runs it) and the active generation's predictions both draw from
+  // the one shared CGAN noise stream.
+  constexpr int kRounds = 8;
+  int validated = 0;
+  std::thread validator([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      if (pipeline->validate_generation(reused.generation, permissive()).ok) {
+        ++validated;
+      }
+    }
+  });
+  const la::Matrix x = slice_rows(fx->split.target_test.x, 0, 32);
+  la::Matrix proba;
+  bool finite = true;
+  for (int i = 0; i < kRounds; ++i) {
+    pipeline->predict_proba_into(x, proba);
+    for (const double p : proba.data()) finite = finite && std::isfinite(p);
+  }
+  validator.join();
+  EXPECT_TRUE(finite);
+  EXPECT_EQ(validated, kRounds);
+}
+
+// A reconstructor whose every fit throws, so the pipeline degrades to the
+// MeanImpute fallback.
+class ThrowingReconstructor : public core::Reconstructor {
+ public:
+  void fit(const la::Matrix&, const la::Matrix&,
+           const std::vector<std::int64_t>&, std::size_t) override {
+    throw common::NumericError("injected divergence");
+  }
+  [[nodiscard]] la::Matrix reconstruct(const la::Matrix&) override {
+    return {};
+  }
+  [[nodiscard]] std::string name() const override { return "Throwing"; }
+};
+
+TEST(ReadaptReuseTest, WarmContextRefitsTheMeanImputeFallback) {
+  const LoopFixture fx;
+  core::PipelineOptions options;
+  options.fs = fast_fs();
+  options.use_reconstruction = true;
+  options.validation_rows = 64;
+  core::FsGanPipeline pipeline(
+      models::make_classifier_factory("mlp"),
+      [](std::size_t, std::size_t, std::uint64_t) {
+        return std::make_unique<ThrowingReconstructor>();
+      },
+      options, 11);
+  pipeline.train(fx.split.source_train, fx.shots);
+  const core::GenerationPtr active = pipeline.active_generation();
+  ASSERT_TRUE(pipeline.health().fallback_reconstructor);
+  ASSERT_NE(active->reconstructor, nullptr);
+  ASSERT_EQ(active->reconstructor->name(), "MeanImpute");
+
+  // The partition is unchanged, but a fallback is never reused: the next
+  // fit may converge where the last one diverged.
   core::ReadaptContext ctx;
   ctx.warm = true;
   const core::CandidateOutcome warm =
       pipeline.build_candidate_generation(fx.shots, fast_fs(), ctx);
   ASSERT_NE(warm.generation, nullptr) << warm.reason;
-  EXPECT_EQ(warm.generation->separation.variant,
-            pipeline.active_generation()->separation.variant);
-  ASSERT_NE(warm.generation->reconstructor, nullptr);
-  EXPECT_TRUE(warm.generation->reconstructor->warm_started());
-  EXPECT_TRUE(bitwise_equal(pipeline.scaler().mins(), mins));
-  EXPECT_TRUE(bitwise_equal(pipeline.scaler().maxs(), maxs));
+  EXPECT_EQ(warm.generation->separation.variant, active->separation.variant);
+  EXPECT_TRUE(warm.health.fallback_reconstructor);
+  EXPECT_NE(warm.generation->reconstructor, active->reconstructor);
+}
 
-  // Warm candidates clear the same validation gate as cold ones.
-  core::ValidationOptions vo;
-  vo.min_accuracy = 0.0;
-  vo.max_accuracy_drop = 1.0;
-  vo.max_uniform_fraction = 1.0;
-  const core::ValidationVerdict verdict =
-      pipeline.validate_generation(warm.generation, vo);
-  EXPECT_TRUE(verdict.ok) << verdict.reason;
+TEST(ReadaptReuseTest, AdaptWithUnchangedPartitionKeepsTrainedReconstructor) {
+  const LoopFixture fx;
+  core::FsGanPipeline pipeline = fx.make_pipeline(11);
+  pipeline.train(fx.split.source_train, fx.shots);
+  const core::GenerationPtr trained = pipeline.active_generation();
+
+  pipeline.adapt_to_new_target(fx.shots);
+  const core::GenerationPtr adapted = pipeline.active_generation();
+  ASSERT_NE(adapted, trained);
+  EXPECT_EQ(adapted->provenance, "adapt");
+  EXPECT_EQ(adapted->separation.variant, trained->separation.variant);
+  ASSERT_NE(adapted->reconstructor, nullptr);
+  EXPECT_EQ(adapted->reconstructor, trained->reconstructor);
 }
 
 TEST(ReadaptDriftLoopTest, WarmFastPathPromotesOnRealDrift) {
@@ -506,56 +652,56 @@ TEST(ReadaptDriftLoopTest, RejectionFallsBackToColdAttempts) {
   EXPECT_EQ(pipeline.active_generation()->provenance, "train");
 }
 
-// ---------------------------------------------------------------------------
-// CGAN warm-start contract
+TEST(ReadaptDriftLoopTest, BackgroundLoopPromotesReusedGenerationWhileServing) {
+  const LoopFixture fx;
+  core::FsGanPipeline pipeline = fx.make_pipeline(11);
+  pipeline.train(fx.split.source_train, fx.shots);
 
-TEST(CganWarmStartTest, WarmFitUsesReducedBudgetAndCompatibilityIsChecked) {
-  common::Rng rng(21);
-  const std::size_t n = 96;
-  const la::Matrix x_inv = la::Matrix::randn(n, 5, rng);
-  const la::Matrix noise = la::Matrix::randn(n, 3, rng);
-  la::Matrix x_var(n, 3);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < 3; ++c) {
-      x_var(r, c) = 0.5 * x_inv(r, c) + 0.1 * noise(r, c);
+  core::DriftLoopOptions options = fx.loop_options();
+  options.background = true;
+  // Two batches: at each trigger the buffer holds only the current regime.
+  options.buffer_capacity = 64;
+  options.validation.min_accuracy = 0.0;
+  options.validation.max_accuracy_drop = 1.0;
+  options.validation.max_uniform_fraction = 1.0;
+  options.probation_batches = 2;
+  options.quarantine_spike = 1.1;
+  core::DriftLoop loop(pipeline, options);
+
+  // Alternate the drift between the two sides of the same columns: every
+  // recovery after the first rediscovers the partition the active
+  // generation already serves.  The serving thread keeps predicting through
+  // the active generation while the worker validates the candidate.
+  la::Matrix proba;
+  std::size_t served = 0;
+  const auto serve = [&](const la::Matrix& regime) {
+    // The same 64 rows in every regime, so only the shift differs between
+    // the buffers the searches see.
+    const std::size_t start = (served % 2) * 32;
+    loop.serve(slice_rows(regime, start, 32),
+               slice_labels(fx.split.target_test.y, start, 32), proba);
+    ++served;
+    for (const double p : proba.data()) ASSERT_TRUE(std::isfinite(p));
+  };
+  std::size_t reuses = 0;
+  for (std::size_t cycle = 0; cycle < 3; ++cycle) {
+    const la::Matrix& regime = cycle % 2 == 0 ? fx.drifted : fx.drifted_low;
+    const core::GenerationPtr prev = pipeline.active_generation();
+    const std::uint64_t attempts = loop.stats().attempts;
+    for (std::size_t i = 0; i < 40 && loop.stats().attempts == attempts; ++i) {
+      serve(regime);
     }
+    ASSERT_GT(loop.stats().attempts, attempts) << "cycle " << cycle;
+    for (std::size_t i = 0; i < 8; ++i) serve(regime);
+    loop.drain();
+    const core::GenerationPtr now = pipeline.active_generation();
+    ASSERT_NE(now, prev) << "cycle " << cycle << " never promoted";
+    if (now->reconstructor == prev->reconstructor) ++reuses;
+    for (std::size_t i = 0; i < 4; ++i) serve(regime);
   }
-  std::vector<std::int64_t> labels(n);
-  for (std::size_t r = 0; r < n; ++r) labels[r] = r % 2;
-
-  core::CganOptions o;
-  o.epochs = 16;
-  o.batch_size = 32;
-  o.hidden = {16, 16};
-
-  core::ConditionalGAN prev(5, 3, o, 77);
-  prev.fit(x_inv, x_var, labels, 2);
-  ASSERT_EQ(prev.history().size(), 16u);
-
-  // Compatible previous generation: the warm fit runs at most the reduced
-  // budget (auto: max(epochs/4, min(epochs, 8)) = 8), possibly fewer via
-  // the plateau early stop.
-  core::ConditionalGAN warm(5, 3, o, 78);
-  EXPECT_TRUE(warm.warm_start_from(prev));
-  warm.fit(x_inv, x_var, labels, 2);
-  EXPECT_TRUE(warm.warm_started());
-  EXPECT_LE(warm.history().size(), 8u);
-  EXPECT_GE(warm.history().size(), 1u);
-  // The warm-started reconstructor still reconstructs finite values.
-  const la::Matrix recon = warm.reconstruct(x_inv);
-  for (std::size_t r = 0; r < recon.rows(); ++r) {
-    for (double v : recon.row(r)) ASSERT_TRUE(std::isfinite(v));
-  }
-
-  // Dimension mismatch and unfitted donors are refused: the fit stays cold.
-  core::ConditionalGAN narrow(4, 3, o, 79);
-  EXPECT_FALSE(narrow.warm_start_from(prev));
-  core::ConditionalGAN unfitted(5, 3, o, 80);
-  core::ConditionalGAN cold(5, 3, o, 81);
-  EXPECT_FALSE(cold.warm_start_from(unfitted));
-  cold.fit(x_inv, x_var, labels, 2);
-  EXPECT_FALSE(cold.warm_started());
-  EXPECT_EQ(cold.history().size(), 16u);
+  loop.drain();
+  EXPECT_EQ(loop.stats().rejections, 0u);
+  EXPECT_GE(reuses, 2u);  // cycles 1 and 2 rediscover cycle 0's partition
 }
 
 }  // namespace
